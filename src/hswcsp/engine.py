@@ -107,6 +107,11 @@ class CorePool:
         with self._lock:
             return list(self.cores)
 
+    def cores_since(self, start: int) -> list[tuple[int, ...]]:
+        """Cores appended after the first `start` ones, in append order."""
+        with self._lock:
+            return self.cores[start:]
+
     def bounds(self) -> tuple[int, int | float]:
         with self._lock:
             return self.lb, self.ub
@@ -170,12 +175,19 @@ class SolveResult:
 
     def __post_init__(self) -> None:
         if self.status == OPTIMAL:
-            assert self.optimum is not None and self.lb == self.ub == self.optimum
-        else:
-            assert self.optimum is None
+            if self.optimum is None or not self.lb == self.ub == self.optimum:
+                raise ValueError(
+                    f"OPTIMAL needs lb == ub == optimum, got lb={self.lb} "
+                    f"ub={self.ub} optimum={self.optimum}"
+                )
+        elif self.optimum is not None:
+            raise ValueError(f"{self.status} result carries optimum {self.optimum}")
 
 
 class _Worker:
+    """One loop over the pool. Owns a HittingProblem that persists across
+    steps and takes in only the cores pooled since the previous step."""
+
     def __init__(
         self, w: Wcsp, pool: CorePool, oracle: SatOracle, halt: Callable[[], bool]
     ):
@@ -183,8 +195,15 @@ class _Worker:
         self.pool = pool
         self.oracle = oracle
         self.halt = halt
-        self.levels = w.levels_per_function()
+        self.problem = HittingProblem(w.levels_per_function())
+        self._synced = 0  # pool cores already added to self.problem
         self.iterations = 0
+
+    def _sync(self) -> HittingProblem:
+        new = self.pool.cores_since(self._synced)
+        self._synced += len(new)
+        self.problem.add_cores(new)
+        return self.problem
 
     def _probe(self, h: tuple[int, ...]) -> str:
         """Shared tail of both loops: oracle on h, then solution or core."""
@@ -216,10 +235,9 @@ class _LbWorker(_Worker):
         lb, ub = pool.bounds()
         if lb >= ub:
             return _FINISHED
-        problem = HittingProblem(self.levels, pool.snapshot())
         try:
             h = min_cost_hitting_vector(
-                problem,
+                self._sync(),
                 prune_at=None if ub == INF else ub,
                 should_stop=self.halt,
             )
@@ -242,8 +260,7 @@ class _UbWorker(_Worker):
         lb, ub = pool.bounds()
         if lb >= ub:
             return _FINISHED
-        problem = HittingProblem(self.levels, pool.snapshot())
-        h = cost_bounded_hitting_vector(problem, ub, should_stop=self.halt)
+        h = cost_bounded_hitting_vector(self._sync(), ub, should_stop=self.halt)
         if h is None:
             if ub == INF:
                 # only a saturated pool fails under an infinite budget
@@ -430,7 +447,8 @@ def _solve(
         raise RuntimeError(f"{name} worker died: {exc!r}") from exc
 
     lb, ub = pool.bounds()
-    assert lb <= ub
+    if lb > ub:
+        raise RuntimeError(f"bounds crossed: lb {lb} > ub {ub}")
     if infeasible:
         status, optimum = INFEASIBLE, None
     elif lb == ub and ub < INF:

@@ -6,6 +6,21 @@ level-index space: raising component i above a core's level only ever
 targets the next level up, and siblings in the branch tree are capped at
 the core's level so the subtrees partition the solution space (split by the
 first component that ends up above the core).
+
+A HittingProblem is meant to persist across the steps of a solve: the
+caller adds each newly pooled core with add_cores, at O(kept cores * m)
+per core, instead of rebuilding the problem. Because cores are only ever
+added, the minimum hitting cost only rises, so the problem keeps the last
+optimum it proved as a floor; the next cost search stops at the first
+hitter costing no more than the floor, which is then optimal.
+
+The tie-break among optimal hitters (lexicographically least level-index
+tuple) is a separate pass. It fixes components left to right at the lowest
+level whose suffix can still be completed within the optimal cost. The
+optimal hitter the cost search found serves as a witness that the current
+prefix can be completed, so only the levels below the witness's need a
+check; a successful check yields a completion that becomes the new
+witness.
 """
 
 from __future__ import annotations
@@ -21,11 +36,17 @@ class PoolSaturatedError(RuntimeError):
 
 
 class HittingProblem:
-    """Per-function level sets plus a pool of cores, index-encoded.
+    """Per-function level sets plus a growing pool of cores, index-encoded.
 
-    Dominated cores (componentwise <= another core) are dropped at build
-    time; hitting the dominating core hits them for free. Kept cores stay
-    in first-appearance order.
+    Built empty and grown with add_cores. Dominated cores (componentwise <=
+    another core) are dropped on insertion; hitting the dominating core
+    hits them for free. Kept cores stay in first-appearance order, so a
+    problem grown core by core equals one built from the whole pool.
+
+    `floor` is a lower bound on the minimum hitting cost. It starts at the
+    sum of the minimum levels and min_cost_hitting_vector raises it to each
+    optimum it proves; adding cores can only raise the optimum, so the
+    floor stays a lower bound for the life of the problem.
     """
 
     def __init__(
@@ -42,31 +63,41 @@ class HittingProblem:
         self.m = len(self.levels)
         self.max_idx = tuple(len(ls) - 1 for ls in self.levels)
         self._index_of = [{c: i for i, c in enumerate(ls)} for ls in self.levels]
-
-        raw: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for k in pool:
-            k = tuple(k)
-            if len(k) != self.m:
-                raise ValueError(f"core {k} has length {len(k)}, expected {self.m}")
-            try:
-                idx = tuple(self._index_of[i][c] for i, c in enumerate(k))
-            except KeyError:
-                raise ValueError(f"core {k} uses a cost that is not a level") from None
-            if idx not in seen:
-                seen.add(idx)
-                raw.append(idx)
-        self.cores = tuple(
-            k
-            for k in raw
-            if not any(k2 != k and all(a <= b for a, b in zip(k, k2)) for k2 in raw)
-        )
+        self.cores: tuple[tuple[int, ...], ...] = ()
         # components that can still be raised above the core; empty == unhittable
-        self.core_raisable = tuple(
-            tuple(i for i in range(self.m) if k[i] < self.max_idx[i])
-            for k in self.cores
-        )
+        self.core_raisable: tuple[tuple[int, ...], ...] = ()
+        self.saturated = False
+        self.floor = self.min_cost()
+        self.add_cores(pool)
+
+    def add_cores(self, pool: Iterable[Sequence[int]]) -> None:
+        """Insert cores (as cost vectors) in order, O(kept cores * m) each.
+
+        A core dominated by a kept one (duplicates included) is dropped;
+        kept cores it dominates are removed. Every core is validated before
+        any is inserted.
+        """
+        new = [self._encode(k) for k in pool]
+        if not new:
+            return
+        kept = list(zip(self.cores, self.core_raisable))
+        for k in new:
+            if any(all(a <= b for a, b in zip(k, k2)) for k2, _ in kept):
+                continue
+            kept = [(k2, r) for k2, r in kept if not all(b <= a for a, b in zip(k, k2))]
+            kept.append((k, tuple(i for i in range(self.m) if k[i] < self.max_idx[i])))
+        self.cores = tuple(k for k, _ in kept)
+        self.core_raisable = tuple(r for _, r in kept)
         self.saturated = any(not r for r in self.core_raisable)
+
+    def _encode(self, core: Sequence[int]) -> tuple[int, ...]:
+        core = tuple(core)
+        if len(core) != self.m:
+            raise ValueError(f"core {core} has length {len(core)}, expected {self.m}")
+        try:
+            return tuple(self._index_of[i][c] for i, c in enumerate(core))
+        except KeyError:
+            raise ValueError(f"core {core} uses a cost that is not a level") from None
 
     @classmethod
     def _from_indices(
@@ -111,12 +142,15 @@ def _make_stop_poll(should_stop: Callable[[], bool] | None) -> Callable[[], None
 def _branch_search(
     p: HittingProblem,
     bound: float,
-    first_only: bool,
+    stop_at: float,
     should_stop: Callable[[], bool] | None,
 ) -> tuple[int, tuple[int, ...]] | None:
-    """Best (or first) hitting vector with cost strictly below `bound`.
+    """Cheapest hitting vector with cost strictly below `bound`.
 
-    Returns (cost, level-index tuple) or None. Branches on an unhit core
+    Returns (cost, level-index tuple) or None. The search stops early at
+    the first hitter costing at most `stop_at`: with stop_at = inf that is
+    the first hitter found; with stop_at a lower bound on the optimum
+    (the problem's floor) it is an optimal one. Branches on an unhit core
     with the fewest raise options, cheapest increment first. Nodes carry a
     packing bound: cores whose raise options are pairwise disjoint cannot
     share a raise, so their cheapest raises are owed additively (and any
@@ -189,7 +223,7 @@ def _branch_search(
                 v[i] = old
                 for ci in touched:
                     hitcnt[ci] -= 1
-                if found and first_only:
+                if found and best <= stop_at:
                     done = True
                     break
             saved_caps.append((i, caps[i]))
@@ -205,52 +239,62 @@ def _branch_search(
 
 
 def _lex_min_at_cost(
-    p: HittingProblem, target: int, should_stop: Callable[[], bool] | None
+    p: HittingProblem,
+    target: int,
+    should_stop: Callable[[], bool] | None,
+    witness: Sequence[int],
 ) -> tuple[int, ...]:
     """Lexicographically least level-index hitter of cost exactly `target`.
 
-    Fixes components left to right at the lowest level that still lets the
-    remaining components complete a hitter within the budget; each check is
-    a first-solution branch-and-bound on the reduced suffix problem.
-    `target` must be the optimal hitting cost.
+    `target` must be the optimal hitting cost and `witness` a level-index
+    hitter of that cost. Fixes components left to right at the lowest level
+    that still lets the remaining components complete a hitter within the
+    budget. The witness always agrees with the fixed prefix and completes
+    it, so at each position only the levels below the witness's need a
+    check; each check is a first-solution branch-and-bound on the reduced
+    suffix problem, and a completion it finds becomes the next witness.
+    When no lower level completes, the witness's level is taken unsearched.
     """
-    levels, cores, m, max_idx = p.levels, p.cores, p.m, p.max_idx
+    levels, cores, m = p.levels, p.cores, p.m
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + levels[i][0]
 
-    def completable(start: int, unhit: list[int], slack: int) -> bool:
+    def completion(start: int, unhit: list[int], slack: int) -> tuple[int, ...] | None:
         if not unhit:
-            return True
+            return (0,) * (m - start)
         if start == m:
-            return False
+            return None
         reduced = HittingProblem._from_indices(
             levels[start:], [cores[ci][start:] for ci in unhit]
         )
         if reduced.saturated:
-            return False
+            return None
         found = _branch_search(
-            reduced, suffix[start] + slack + 1, first_only=True, should_stop=should_stop
+            reduced, suffix[start] + slack + 1, math.inf, should_stop
         )
-        return found is not None
+        return None if found is None else found[1]
 
+    witness = tuple(witness)
     fixed: list[int] = []
     spent = 0
     unhit = list(range(len(cores)))
     for pos in range(m):
-        for t in range(max_idx[pos] + 1):
+        for t in range(witness[pos]):
             slack = target - spent - levels[pos][t] - suffix[pos + 1]
-            if slack < 0:
-                break
             still = [ci for ci in unhit if cores[ci][pos] >= t]
-            if completable(pos + 1, still, slack):
-                fixed.append(t)
-                spent += levels[pos][t]
-                unhit = still
+            rest = completion(pos + 1, still, slack)
+            if rest is not None:
+                witness = (*fixed, t, *rest)
                 break
-        else:
-            raise AssertionError("no hitter at the proven optimal cost")
-    assert not unhit and spent == target
+        t = witness[pos]
+        fixed.append(t)
+        spent += levels[pos][t]
+        unhit = [ci for ci in unhit if cores[ci][pos] >= t]
+    if unhit or spent != target:
+        raise RuntimeError(
+            f"lex-min pass ended on {fixed}, which is not a hitter of cost {target}"
+        )
     return tuple(fixed)
 
 
@@ -264,16 +308,18 @@ def min_cost_hitting_vector(
     Ties go to the lexicographically smallest level-index tuple. With
     `prune_at` set, returns None as soon as it is proven that no hitting
     vector costs strictly less than it. Raises PoolSaturatedError when no
-    hitting vector exists at all.
+    hitting vector exists at all. The search stops at the first hitter
+    costing `p.floor`, and the optimum it proves becomes the new floor.
     """
     if p.saturated:
         raise PoolSaturatedError("a pooled core sits at every maximum level")
     bound = math.inf if prune_at is None else prune_at
-    found = _branch_search(p, bound, first_only=False, should_stop=should_stop)
+    found = _branch_search(p, bound, p.floor, should_stop)
     if found is None:
         return None
-    cost, _ = found
-    return p.vector_at(_lex_min_at_cost(p, cost, should_stop))
+    cost, witness = found
+    p.floor = cost
+    return p.vector_at(_lex_min_at_cost(p, cost, should_stop, witness))
 
 
 def cost_bounded_hitting_vector(
@@ -288,7 +334,7 @@ def cost_bounded_hitting_vector(
     """
     if p.saturated:
         return None
-    found = _branch_search(p, ub, first_only=True, should_stop=should_stop)
+    found = _branch_search(p, ub, math.inf, should_stop)
     if found is None:
         return None
     return p.vector_at(found[1])

@@ -316,9 +316,29 @@ def test_trace_recorder_forwards_in_order():
 
 
 def test_solve_result_consistency_is_enforced():
-    with pytest.raises(AssertionError):
+    # ValueError, not assert: the check must survive python -O
+    with pytest.raises(ValueError, match="OPTIMAL"):
         SolveResult(OPTIMAL, None, 3, 3, None, 0, {}, 0.0, ())
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="OPTIMAL"):
+        SolveResult(OPTIMAL, 4, 3, 4, None, 0, {}, 0.0, ())
+    with pytest.raises(ValueError, match="carries optimum"):
         SolveResult(TIMEOUT, 5, 3, 5, None, 0, {}, 0.0, ())
     ok = SolveResult(TIMEOUT, None, 3, math.inf, None, 0, {}, 0.0, ())
     assert ok.lb == 3
+
+
+def test_crossed_bounds_raise(fig1):
+    # a RuntimeError, not assert: the check must survive python -O
+    pool = CorePool()
+    pool.lb, pool.ub = 9, 5
+    with pytest.raises(RuntimeError, match="bounds crossed"):
+        hs_lb(fig1, pool=pool)
+
+
+def test_core_pool_cores_since():
+    pool = CorePool()
+    pool.add_core((5, 5), "MAIN")
+    pool.add_core((0, 20), "MAIN")
+    assert pool.cores_since(0) == [(5, 5), (0, 20)]
+    assert pool.cores_since(1) == [(0, 20)]
+    assert pool.cores_since(2) == []

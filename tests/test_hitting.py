@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -14,6 +15,7 @@ from hswcsp import (
     hits,
     min_cost_hitting_vector,
 )
+from hswcsp.hitting import _branch_search, _lex_min_at_cost
 
 FIG1_LEVELS = [(0, 5, 20), (0, 5, 20)]
 
@@ -157,3 +159,112 @@ def test_property_minimum_hits_pool(problem):
     assert hits(v, pool)
     assert sum(v) == sum(exhaustive_mhv(levels, pool))
     assert all(c in ls for c, ls in zip(v, levels))
+
+
+def test_lex_min_rejects_a_witness_that_misses_a_core():
+    p = HittingProblem(FIG1_LEVELS, [(5, 5)])
+    # (0, 0) costs 0 but does not hit (5, 5); no lower level can replace it
+    with pytest.raises(RuntimeError, match="not a hitter"):
+        _lex_min_at_cost(p, 0, None, (0, 0))
+
+
+def _random_growing_pool(
+    rng: random.Random, saturated_ok: bool
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Up to 6 functions and 12 cores, with duplicates and dominated cores."""
+    m = rng.randint(1, 6)
+    levels = [
+        tuple(sorted(rng.sample(range(0, 10), rng.randint(1, 4)))) for _ in range(m)
+    ]
+    pool: list[tuple[int, ...]] = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if pool and roll < 0.2:
+            k = rng.choice(pool)  # duplicate
+        elif pool and roll < 0.45:
+            # dominated by a pooled core: lower some components
+            k = tuple(
+                rng.choice([x for x in ls if x <= c])
+                for c, ls in zip(rng.choice(pool), levels)
+            )
+        else:
+            k = tuple(rng.choice(ls) for ls in levels)
+        if saturated_ok or any(c < ls[-1] for c, ls in zip(k, levels)):
+            pool.append(k)
+    return levels, pool
+
+
+def _reference_kept(levels, pool) -> tuple[tuple[int, ...], ...]:
+    """Index-encoded cores a one-shot quadratic dominance filter keeps."""
+    raw = list(dict.fromkeys(tuple(ls.index(c) for c, ls in zip(k, levels)) for k in pool))
+    return tuple(
+        k
+        for k in raw
+        if not any(k2 != k and all(a <= b for a, b in zip(k, k2)) for k2 in raw)
+    )
+
+
+def test_add_cores_matches_fresh_build():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        levels, pool = _random_growing_pool(rng, saturated_ok=True)
+        whole = HittingProblem(levels, pool)
+        assert whole.cores == _reference_kept(levels, pool)
+        cut = rng.randint(0, len(pool))
+        from_prefix = HittingProblem(levels, pool[:cut])
+        from_prefix.add_cores(pool[cut:])
+        one_by_one = HittingProblem(levels)
+        for k in pool:
+            one_by_one.add_cores([k])
+        for grown in (from_prefix, one_by_one):
+            assert grown.cores == whole.cores
+            assert grown.core_raisable == whole.core_raisable
+            assert grown.saturated == whole.saturated
+
+
+def test_add_cores_validates_before_inserting():
+    p = HittingProblem(FIG1_LEVELS, [(5, 0)])
+    with pytest.raises(ValueError, match="not a level"):
+        p.add_cores([(0, 20), (0, 7)])
+    assert [p.vector_at(k) for k in p.cores] == [(5, 0)]
+
+
+def _optimal_hitters(levels, pool, cost) -> list[tuple[int, ...]]:
+    """Level-index tuples of every hitter of the given cost, ascending."""
+    out = []
+    for idx in itertools.product(*(range(len(ls)) for ls in levels)):
+        v = tuple(ls[i] for ls, i in zip(levels, idx))
+        if sum(v) == cost and hits(v, pool):
+            out.append(idx)
+    return out
+
+
+def test_floor_never_changes_an_answer():
+    """Grow problems core by core; after each core the floored search must
+    agree with enumeration, vector for vector, with and without prune_at."""
+    rng = random.Random(1018)
+    witness_replaced = 0
+    for _ in range(120):
+        levels, pool = _random_growing_pool(rng, saturated_ok=False)
+        p = HittingProblem(levels)
+        pruned = HittingProblem(levels)
+        for n, core in enumerate(pool, 1):
+            p.add_cores([core])
+            pruned.add_cores([core])
+            expected = exhaustive_mhv(levels, pool[:n])
+            best = sum(expected)
+            assert p.floor <= best
+            first = _branch_search(p, math.inf, p.floor, None)
+            assert first is not None and first[0] == best
+            if p.vector_at(first[1]) != expected:
+                witness_replaced += 1
+            assert min_cost_hitting_vector(p) == expected
+            assert p.floor == best
+            assert min_cost_hitting_vector(pruned, prune_at=best) is None
+            assert min_cost_hitting_vector(pruned, prune_at=best + 1) == expected
+            # any optimal witness leads the lex-min pass to the same vector
+            latest = _optimal_hitters(levels, pool[:n], best)[-1]
+            assert p.vector_at(_lex_min_at_cost(p, best, None, latest)) == expected
+    # the search's first optimal hitter is often not the lex-min one, so
+    # the witness-guided pass really does replace witnesses
+    assert witness_replaced > 30

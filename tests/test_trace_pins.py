@@ -1,0 +1,53 @@
+"""Pinned bound traces of the deterministic strategies on generated instances.
+
+The fig1 goldens pin traces on a two-function instance; these pin them on
+instances big enough that the hitting search meets ties, dominated cores
+and repeated lower bounds. A digest covers the (kind, value, source) of
+every trace event plus the per-worker iteration counts, the same payload
+the benchmark digests. A change that keeps the hitting contract (same
+optimal cost, same lexicographic tie-break, same kept-core order) keeps
+every digest.
+"""
+
+import hashlib
+
+import pytest
+
+from hswcsp import OPTIMAL, generate, hs_lb, hs_lub, hs_ub
+
+INSTANCES = {
+    "soft": dict(seed=2001, num_vars=16, max_dom=2, num_funcs=26, cost_range=4),
+    "hard": dict(
+        seed=4, num_vars=16, max_dom=3, num_funcs=20, cost_range=2, hard_density=0.2
+    ),
+}
+
+STRATEGIES = {
+    "hs_lb": hs_lb,
+    "hs_ub": hs_ub,
+    "hs_lub_det": lambda w: hs_lub(w, deterministic=True),
+}
+
+PINNED = [
+    ("soft", "hs_lb", 29, "d7809caaf8e408e2"),
+    ("soft", "hs_ub", 29, "3ff6bb65691e8408"),
+    ("soft", "hs_lub_det", 29, "53e16bb2ae153472"),
+    ("hard", "hs_lb", 6, "ef70ea75ecd5631e"),
+    ("hard", "hs_ub", 6, "37a53b733b08e7e0"),
+    ("hard", "hs_lub_det", 6, "a7bc95f5fc8149b2"),
+]
+
+
+def trace_digest(result) -> str:
+    payload = repr((
+        [(e.kind, e.value, e.source) for e in result.trace],
+        sorted(result.iterations.items()),
+    ))
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("instance, strategy, optimum, digest", PINNED)
+def test_trace_digest_pinned(instance, strategy, optimum, digest):
+    r = STRATEGIES[strategy](generate(**INSTANCES[instance]))
+    assert r.status == OPTIMAL and r.optimum == optimum
+    assert trace_digest(r) == digest
