@@ -8,7 +8,12 @@ on their own levels, so learned clauses stay valid across calls and the
 solver can be reused incrementally with different assumption sets.
 
 solve() returns True (model available), False (unsatisfiable under the
-given assumptions), or None when the conflict budget ran out.
+given assumptions), or None when the conflict budget ran out. Every False
+answer also sets `conflict`, the failed assumptions: a subset of the
+assumption literals that is unsatisfiable on its own together with the
+clauses (MiniSat's analyzeFinal; Een & Sorensson, SAT 2003). It is found by
+walking the reasons of the falsified assumption back to the assumption
+decisions, and is empty when the clauses are unsatisfiable at level 0.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ class CdclSolver:
         self.order: list[tuple[float, int]] = []
         self.seen = bytearray(1)
         self.model: list[int] = []
+        self.conflict: list[int] = []  # failed assumptions of the last False
         self.max_learnts = 4000.0
 
     # --- variables and clauses ---
@@ -257,6 +263,34 @@ class CdclSolver:
             bt = level[abs(learnt[1])]
         return learnt, bt
 
+    def _analyze_final(self, p: int) -> list[int]:
+        """Assumptions that imply -p, plus p itself: the failed-assumption
+        core once assumption p is found false. Call before backtracking."""
+        out = [p]
+        if not self.trail_lim:
+            return out
+        seen = self.seen
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        seen[abs(p)] = 1
+        for k in range(len(trail) - 1, self.trail_lim[0] - 1, -1):
+            lit = trail[k]
+            x = abs(lit)
+            if not seen[x]:
+                continue
+            c = reason[x]
+            if c is None:
+                # a decision below the assumption count is an assumption
+                out.append(lit)
+            else:
+                for q in c.lits[1:]:
+                    if level[abs(q)] > 0:
+                        seen[abs(q)] = 1
+            seen[x] = 0
+        seen[abs(p)] = 0
+        return out
+
     # --- learned clause management ---
 
     def _locked(self, c: _Clause) -> bool:
@@ -295,6 +329,7 @@ class CdclSolver:
         conflict_budget: int | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> bool | None:
+        self.conflict = []
         if not self.ok:
             return False
         self._backtrack(0)
@@ -354,6 +389,7 @@ class CdclSolver:
                     self.trail_lim.append(len(self.trail))
                     continue
                 if vp == -1:
+                    self.conflict = self._analyze_final(p)
                     self._backtrack(0)
                     return False
                 self.trail_lim.append(len(self.trail))

@@ -6,6 +6,13 @@ over the components, cheapest next increment first, until a full pass
 changes nothing. Every SAT probe met on the way is a solution vector, so
 its cost goes to the bound sink as an upper-bound candidate, witness
 attached.
+
+Each UNSAT verdict carries a core that dominates its query, built from the
+oracle's failed assumptions. Growth keeps the core of the last UNSAT
+verdict as a bound: a raise that stays componentwise below it is UNSAT by
+implication and is applied without calling the oracle. Skipping such a
+probe changes nothing but the work done, because the skipped answer is
+the one the oracle would have given.
 """
 
 from __future__ import annotations
@@ -62,13 +69,16 @@ def maximal_core(
     SAT outcome is final.
 
     SAT probes whose vector cost is already >= sink.ub still certify
-    settledness but are not reported as candidates.
+    settledness but are not reported as candidates. A raise that the last
+    UNSAT verdict's core dominates is applied without a probe.
     """
     w = oracle.w
     funcs = w.cost_functions
     v = list(w.validate_vector(h))
-    if oracle.solve_under_vector(v, should_stop=should_stop).satisfiable:
+    first = oracle.solve_under_vector(v, should_stop=should_stop)
+    if first.satisfiable:
         raise ValueError(f"{tuple(h)} is not a core: the induced CSP is satisfiable")
+    bound = first.core  # v <= bound throughout, and bound is a core
 
     idx = [f.levels.index(c) for f, c in zip(funcs, v)]
     settled = [False] * len(v)
@@ -84,18 +94,20 @@ def maximal_core(
         for _, i in order:
             if should_stop is not None and should_stop():
                 raise SearchAborted("stopped during core growth")
-            probe = list(v)
-            probe[i] = funcs[i].levels[idx[i] + 1]
-            verdict = oracle.solve_under_vector(probe, should_stop=should_stop)
-            if verdict.satisfiable:
-                settled[i] = True
-                assert verdict.witness is not None
-                probe_cost = cost_of_vector(probe)
-                if sink is not None and probe_cost < sink.ub:
-                    sink.offer_ub(probe_cost, verdict.witness)
-            else:
-                v[i] = probe[i]
-                idx[i] += 1
-                changed = True
+            raised = funcs[i].levels[idx[i] + 1]
+            if raised > bound[i]:
+                probe = list(v)
+                probe[i] = raised
+                verdict = oracle.solve_under_vector(probe, should_stop=should_stop)
+                if verdict.satisfiable:
+                    settled[i] = True
+                    probe_cost = cost_of_vector(probe)
+                    if sink is not None and probe_cost < sink.ub:
+                        sink.offer_ub(probe_cost, verdict.witness)
+                    continue
+                bound = verdict.core
+            v[i] = raised
+            idx[i] += 1
+            changed = True
         if not changed:
             return tuple(v)

@@ -213,7 +213,6 @@ class _Worker:
         verdict = self.oracle.solve_under_vector(h, should_stop=self.halt)
         self.iterations += 1
         if verdict.satisfiable:
-            assert verdict.witness is not None
             pool.offer_ub(cost_of_vector(h), verdict.witness, self.source)
         else:
             grown = maximal_core(
@@ -302,7 +301,6 @@ def seed_disjoint_cores(
         probe = tuple(maxs[i] if i in used else mins[i] for i in range(w.m))
         verdict = oracle.solve_under_vector(probe, should_stop=should_stop)
         if verdict.satisfiable:
-            assert verdict.witness is not None
             pool.offer_ub(w.evaluate(verdict.witness).total, verdict.witness, "SEED")
             break
         grown = maximal_core(oracle, probe, sink, should_stop=should_stop)

@@ -173,7 +173,7 @@ class Wcsp:
             scope = tuple(scope)
             lifted = frozenset(t for t, c in table.items() if c >= top)
             sub_top = {c for c in table.values() if c < top}
-            if lifted and sub_top <= {0}:
+            if lifted and sub_top <= {0}:  # the rule of is_pure_hard
                 hcs.append(HardConstraint(scope, lifted))
                 continue
             if lifted:
@@ -233,6 +233,14 @@ class Wcsp:
             hc.forbids(a) for hc in self.hard_constraints
         )
         return Evaluation(sum(per), per, feasible)
+
+
+def is_pure_hard(table: dict[tuple[int, ...], int], top: int) -> bool:
+    """Whether Wcsp.build ingests this table as a pure hard constraint: it
+    forbids something, and every cost below top is 0."""
+    return any(c >= top for c in table.values()) and all(
+        c == 0 or c >= top for c in table.values()
+    )
 
 
 def leq(u: Sequence[int], v: Sequence[int]) -> bool:

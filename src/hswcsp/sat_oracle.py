@@ -8,9 +8,17 @@ asserting the selectors of all levels strictly above v_i enforces
 f_i <= v_i. With no assumptions the formula is satisfiable exactly when
 the hard constraints alone are.
 
+Every UNSAT verdict carries a core: a cost vector that dominates the query
+and is itself UNSAT. The backend reports which selectors failed (its
+`conflict`); each failed s(i, j) bounds component i by levels[j - 1], and a
+component with no failed selector goes to its maximum level. The failed
+selectors are a subset of the core's own assumptions, so the core is UNSAT,
+and every vector it dominates is UNSAT as well.
+
 Backends are pluggable: anything with new_var/add_clause/solve/model_value
-(the default CDCL solver, or the naive chronological-backtracking one kept
-for differential testing).
+and a `conflict` list (the default CDCL solver, or the naive
+chronological-backtracking one kept for differential testing, which reports
+every assumption as failed).
 """
 
 from __future__ import annotations
@@ -29,14 +37,24 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleVerdict:
+    """A SAT answer carries a witness assignment; an UNSAT answer carries a
+    core vector that dominates the query (see the module docstring)."""
+
     satisfiable: bool
     witness: tuple[int, ...] | None
+    core: tuple[int, ...] | None
 
     def __post_init__(self) -> None:
-        assert (self.witness is not None) == self.satisfiable
+        if (self.witness is not None) != self.satisfiable:
+            raise ValueError("a verdict has a witness exactly when it is SAT")
+        if (self.core is not None) == self.satisfiable:
+            raise ValueError("a verdict has a core exactly when it is UNSAT")
 
 
 class SatBackend(Protocol):
+    # after a False solve: assumption literals that are UNSAT on their own
+    conflict: list[int]
+
     def new_var(self) -> int: ...
 
     def add_clause(self, lits) -> bool: ...
@@ -58,7 +76,9 @@ class NaiveSolver:
     one static pure-literal pass (gets the unasserted selectors out of the
     way), then depth-first search in variable order with violation checks
     against the occurrence lists. Conflict budgets are ignored; a budget
-    cannot be exhausted by a solver that counts no conflicts.
+    cannot be exhausted by a solver that counts no conflicts. An UNSAT
+    answer blames every assumption, which is sound but never lets core
+    growth skip a probe.
     """
 
     def __init__(self) -> None:
@@ -66,6 +86,7 @@ class NaiveSolver:
         self.clauses: list[list[int]] = []
         self.ok = True
         self.model: list[int] = []
+        self.conflict: list[int] = []
         self._occur: list[list[list[int]]] | None = None
 
     def new_var(self) -> int:
@@ -99,6 +120,7 @@ class NaiveSolver:
         conflict_budget: int | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> bool | None:
+        self.conflict = list(assumptions)
         if not self.ok:
             return False
         assign = [0] * (self.nvars + 1)
@@ -174,6 +196,12 @@ class Encoding:
             for f in w.cost_functions
         ]
         self.num_vars = next(counter) - 1
+        # selector id -> (function, level index)
+        self.selector_owner: dict[int, tuple[int, int]] = {
+            s: (i, j)
+            for i, sel in enumerate(self.selector_var)
+            for j, s in sel.items()
+        }
 
         self.base_clauses: list[list[int]] = []
         for x, d in enumerate(w.domains):
@@ -215,12 +243,29 @@ class Encoding:
                     out.append(self.selector_var[i][j])
         return out
 
+    def core_for(self, failed: Sequence[int]) -> tuple[int, ...]:
+        """The cost vector whose assumptions include every failed selector
+        and no other: failed s(i, j) caps f_i at levels[j - 1], and the
+        other components stay at their maximum level."""
+        funcs = self.w.cost_functions
+        core = [f.levels[-1] for f in funcs]
+        for lit in failed:
+            owner = self.selector_owner.get(lit)
+            if owner is None:
+                raise RuntimeError(f"failed assumption {lit} is not a selector")
+            i, j = owner
+            below = funcs[i].levels[j - 1]
+            if below < core[i]:
+                core[i] = below
+        return tuple(core)
+
     def decode(self, model_value: Callable[[int], bool]) -> tuple[int, ...]:
         """Read a CSP assignment off a propositional model."""
         out = []
         for x, d in enumerate(self.w.domains):
             chosen = [a for a in range(d) if model_value(self.value_var[x][a])]
-            assert len(chosen) == 1, f"variable {x} holds {len(chosen)} values"
+            if len(chosen) != 1:
+                raise RuntimeError(f"variable {x} holds {len(chosen)} values")
             out.append(chosen[0])
         return tuple(out)
 
@@ -269,8 +314,12 @@ class SatOracle:
         if res is None:
             raise BudgetExhausted(f"no verdict within {conflict_budget} conflicts")
         if not res:
-            return OracleVerdict(False, None)
-        return OracleVerdict(True, self.encoding.decode(self.solver.model_value))
+            return OracleVerdict(
+                False, None, self.encoding.core_for(self.solver.conflict)
+            )
+        return OracleVerdict(
+            True, self.encoding.decode(self.solver.model_value), None
+        )
 
     def solve_csp(
         self,
@@ -286,14 +335,18 @@ class SatOracle:
         conflict_budget: int | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> OracleVerdict:
-        """SAT iff v is a solution vector of the instance."""
+        """SAT iff v is a solution vector of the instance. An UNSAT verdict's
+        core dominates v."""
         v = self.w.validate_vector(v)
         verdict = self._run(
             self.encoding.assumptions_for(v), conflict_budget, should_stop
         )
         if verdict.satisfiable:
             ev = self.w.evaluate(verdict.witness)
-            assert ev.feasible and all(
-                c <= vi for c, vi in zip(ev.per_function, v)
-            ), "witness does not respect the queried bounds"
+            if not ev.feasible or any(
+                c > vi for c, vi in zip(ev.per_function, v)
+            ):
+                raise RuntimeError("witness does not respect the queried bounds")
+        elif any(c < vi for c, vi in zip(verdict.core, v)):
+            raise RuntimeError(f"core {verdict.core} does not dominate {tuple(v)}")
         return verdict

@@ -13,7 +13,9 @@ comments ignored:
 Variables and values are 0-based. Costs at or above top are hard-forbidden.
 A block whose sub-top costs are all zero and that forbids something becomes
 a pure hard constraint; any other block becomes a cost function with its
-at-or-above-top tuples lifted into a hard constraint.
+at-or-above-top tuples lifted into a hard constraint. A file whose blocks
+are all pure hard constraints is a plain CSP; it gets one all-zero unary
+cost function, so its optimum is 0 when it is feasible.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .model import Wcsp
+from .model import Wcsp, is_pure_hard
 
 
 class ParseError(ValueError):
@@ -133,6 +135,8 @@ def parse_wcsp(text: str) -> Wcsp:
 
     if not toks.exhausted():
         raise ParseError(toks._items[toks._pos][1], "trailing tokens after last function block")
+    if all(is_pure_hard(table, top) for _, table in functions):
+        functions.append(((0,), {(a,): 0 for a in range(domains[0])}))
 
     try:
         return Wcsp.build(num_vars, domains, functions, top=top, name=name)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hswcsp import (
@@ -5,6 +7,7 @@ from hswcsp import (
     RecordingSink,
     SatOracle,
     SearchAborted,
+    generate,
     leq,
     maximal_core,
 )
@@ -109,3 +112,47 @@ def test_grown_cores_are_maximal_on_random_instances(corpus):
                 assert vector_is_solution(w, probe)
         checked += 1
     assert checked >= 20
+
+
+class _Counting(SatOracle):
+    calls = 0
+
+    def solve_under_vector(self, v, conflict_budget=None, should_stop=None):
+        self.calls += 1
+        return super().solve_under_vector(v, conflict_budget, should_stop)
+
+
+def test_skipped_probes_do_not_change_growth(corpus):
+    """The naive backend blames every assumption, so growth over it probes
+    every raise; the CDCL backend's cores skip some. Both must grow every
+    start core into the same maximal core, with the same offers."""
+    rng = random.Random(7)
+    hard = [
+        generate(seed=s, num_vars=5, max_dom=3, num_funcs=6, cost_range=5,
+                 hard_density=0.3)
+        for s in range(30)
+    ]
+    instances = [w for w, _ in corpus[:100]] + hard
+    grown_count = fewer = 0
+    for w in instances:
+        starts = [w.min_vector()] + [
+            tuple(rng.choice(f.levels[:2]) for f in w.cost_functions)
+            for _ in range(3)
+        ]
+        for start in starts:
+            if SatOracle(w).solve_under_vector(start).satisfiable:
+                continue
+            runs = []
+            for backend in ("cdcl", "naive"):
+                oracle = _Counting(w, backend)
+                sink = RecordingSink()
+                core = maximal_core(oracle, start, sink)
+                runs.append((core, [v for v, _ in sink.offers], oracle.calls))
+            (cdcl_core, cdcl_offers, cdcl_calls), (core, offers, calls) = runs
+            assert cdcl_core == core
+            assert cdcl_offers == offers
+            assert cdcl_calls <= calls
+            fewer += cdcl_calls < calls
+            grown_count += 1
+    assert grown_count >= 100
+    assert 2 * fewer >= grown_count

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hswcsp import Wcsp, cost_of_vector, hits, leq
-from hswcsp.model import CostFunction, HardConstraint
+from hswcsp.model import CostFunction, HardConstraint, is_pure_hard
 
 
 def test_fig1_shape(fig1):
@@ -162,3 +162,19 @@ def test_leq_partial_order(pairs):
     assert leq(u, u) and leq(v, v)
     if leq(u, v) and leq(v, u):
         assert u == v
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {(0,): 0, (1,): 10},
+        {(0,): 12, (1,): 10},
+        {(0,): 0, (1,): 0},
+        {(0,): 3, (1,): 10},
+        {(0,): 3, (1,): 0},
+    ],
+)
+def test_is_pure_hard_matches_build(table):
+    other = ((0,), {(0,): 1, (1,): 0})
+    w = Wcsp.build(1, [2], [((0,), table), other], top=10)
+    assert is_pure_hard(table, 10) == (w.m == 1)

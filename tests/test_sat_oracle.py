@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,7 +14,8 @@ from hswcsp import (
     generate,
 )
 from hswcsp.bruteforce import vector_is_solution
-from hswcsp.sat_oracle import NaiveSolver
+from hswcsp.cdcl import CdclSolver
+from hswcsp.sat_oracle import NaiveSolver, OracleVerdict
 
 BACKENDS = ("cdcl", "naive")
 
@@ -138,3 +142,93 @@ def test_differential_small_corpus():
                 assert oracle.solve_under_vector(v).satisfiable == expected
             checked += 1
     assert checked >= 150
+
+
+# --- checks that raise real exceptions (kept under python -O) ---
+
+
+class _IgnoresBounds(CdclSolver):
+    """Answers every query as if no cost bound were assumed."""
+
+    def solve(self, assumptions=(), conflict_budget=None, should_stop=None):
+        return super().solve((), conflict_budget, should_stop)
+
+
+class _Blames(CdclSolver):
+    """Answers UNSAT and blames a fixed literal, whatever the query."""
+
+    blamed = 0
+
+    def solve(self, assumptions=(), conflict_budget=None, should_stop=None):
+        self.conflict = [self.blamed]
+        return False
+
+
+def _blaming(lit):
+    def factory():
+        s = _Blames()
+        s.blamed = lit
+        return s
+
+    return factory
+
+
+def test_check_verdict_shape():
+    with pytest.raises(ValueError, match="witness"):
+        OracleVerdict(True, None, None)
+    with pytest.raises(ValueError, match="witness"):
+        OracleVerdict(False, (0,), (1,))
+    with pytest.raises(ValueError, match="core"):
+        OracleVerdict(False, None, None)
+    with pytest.raises(ValueError, match="core"):
+        OracleVerdict(True, (0,), (1,))
+
+
+def test_check_witness_respects_bounds(fig1):
+    # (0, 0) is a core of fig1, so any feasible assignment breaks a bound
+    oracle = SatOracle(fig1, _IgnoresBounds)
+    with pytest.raises(RuntimeError, match="does not respect"):
+        oracle.solve_under_vector((0, 0))
+
+
+def test_check_core_dominates_query(fig1):
+    enc = Encoding(fig1)
+    # (20, 20) assumes no selector, so blaming s(0, 1) yields core (0, 20)
+    oracle = SatOracle(fig1, _blaming(enc.selector_var[0][1]))
+    with pytest.raises(RuntimeError, match="does not dominate"):
+        oracle.solve_under_vector((20, 20))
+    oracle = SatOracle(fig1, _blaming(enc.value_var[0][0]))
+    with pytest.raises(RuntimeError, match="not a selector"):
+        oracle.solve_under_vector((0, 0))
+
+
+def test_check_decode_one_hot(fig1):
+    with pytest.raises(RuntimeError, match="holds 2 values"):
+        Encoding(fig1).decode(lambda var: True)
+    with pytest.raises(RuntimeError, match="holds 0 values"):
+        Encoding(fig1).decode(lambda var: False)
+
+
+def test_optimized_mode_keeps_checks():
+    """The test_check_* cases pass under python -O, which strips asserts."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         __file__, "-k", "test_check_"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "4 passed" in proc.stdout
+
+
+def test_unsat_verdicts_carry_a_dominating_core(fig1):
+    for backend in BACKENDS:
+        oracle = SatOracle(fig1, backend)
+        verdict = oracle.solve_under_vector((0, 5))
+        assert not verdict.satisfiable and verdict.witness is None
+        assert verdict.core is not None and all(
+            c >= x for c, x in zip(verdict.core, (0, 5))
+        )
+    # the naive backend blames every assumption: the core is the query
+    assert SatOracle(fig1, "naive").solve_under_vector((0, 5)).core == (0, 5)

@@ -5,10 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hswcsp import (
+    INFEASIBLE,
+    OPTIMAL,
     ParseError,
     TraceEvent,
     TraceWriter,
     generate,
+    hs_lub,
     parse_wcsp,
     read_trace,
     wcsp_to_text,
@@ -146,3 +149,22 @@ def test_trace_roundtrip(events):
     buf = io.StringIO()
     write_trace(events, buf, comments=["c"])
     assert read_trace(buf.getvalue()) == list(events)
+
+
+def test_pure_csp_gets_a_zero_cost_function():
+    # one hard block forbidding x0 = x1 = 0: a valid plain CSP
+    w = parse_wcsp("p 2 2 1 10\n2 2\n2 0 1 0 1\n0 0 10\n")
+    assert len(w.hard_constraints) == 1
+    assert w.m == 1 and w.cost_functions[0].levels == (0,)
+    assert not w.evaluate((0, 0)).feasible
+    assert w.evaluate((0, 1)).total == 0
+    result = hs_lub(w, deterministic=True)
+    assert (result.status, result.optimum) == (OPTIMAL, 0)
+    assert w.evaluate(result.witness).feasible
+
+
+def test_infeasible_pure_csp():
+    # two hard blocks forbid both values of x0
+    w = parse_wcsp("p 1 2 2 10\n2\n1 0 0 1\n0 10\n1 0 0 1\n1 10\n")
+    assert w.m == 1 and len(w.hard_constraints) == 2
+    assert hs_lub(w, deterministic=True).status == INFEASIBLE
