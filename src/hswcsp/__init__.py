@@ -10,7 +10,7 @@ the test suite; the `hswcsp` console script wraps batch solving.
 """
 
 from .bruteforce import SplitMix64, classify_all_vectors, exhaustive_mhv, generate, optimal_cost
-from .core_grow import RecordingSink, maximal_core
+from .core_grow import maximal_core
 from .engine import (
     INFEASIBLE,
     OPTIMAL,
@@ -40,7 +40,7 @@ from .model import (
     hits,
     leq,
 )
-from .sat_oracle import BudgetExhausted, Encoding, OracleVerdict, SatOracle
+from .sat_oracle import Encoding, OracleVerdict, SatOracle
 from .wcsp_io import (
     ParseError,
     TraceEvent,
@@ -60,7 +60,6 @@ __all__ = [
     "INFEASIBLE",
     "OPTIMAL",
     "TIMEOUT",
-    "BudgetExhausted",
     "CorePool",
     "CostFunction",
     "Encoding",
@@ -70,7 +69,6 @@ __all__ = [
     "OracleVerdict",
     "ParseError",
     "PoolSaturatedError",
-    "RecordingSink",
     "SatOracle",
     "SearchAborted",
     "SolveResult",

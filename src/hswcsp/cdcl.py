@@ -7,13 +7,18 @@ integers (variable ids start at 1). Assumptions are enqueued as decisions
 on their own levels, so learned clauses stay valid across calls and the
 solver can be reused incrementally with different assumption sets.
 
-solve() returns True (model available), False (unsatisfiable under the
-given assumptions), or None when the conflict budget ran out. Every False
-answer also sets `conflict`, the failed assumptions: a subset of the
-assumption literals that is unsatisfiable on its own together with the
-clauses (MiniSat's analyzeFinal; Een & Sorensson, SAT 2003). It is found by
-walking the reasons of the falsified assumption back to the assumption
-decisions, and is empty when the clauses are unsatisfiable at level 0.
+solve() returns True (model available) or False (unsatisfiable under the
+given assumptions), and raises SearchAborted when its should_stop
+predicate fires at a conflict. Every False answer also sets `conflict`,
+the failed assumptions: a subset of the assumption literals that is
+unsatisfiable on its own together with the clauses (MiniSat's
+analyzeFinal; Een & Sorensson, SAT 2003). It is found by walking the
+reasons of the falsified assumption back to the assumption decisions, and
+is empty when the clauses are unsatisfiable at level 0.
+
+Misuse raises real exceptions, kept under `python -O`: an unknown variable
+(or literal 0) in a clause or an assumption is a ValueError, and a clause
+added mid-search (from a should_stop callback) is a RuntimeError.
 """
 
 from __future__ import annotations
@@ -98,12 +103,15 @@ class CdclSolver:
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a problem clause; call before or between solves (at level 0).
         Returns False once the formula is known unsatisfiable."""
+        if self.trail_lim:
+            raise RuntimeError("clauses must be added at decision level 0")
+        lits = sorted(set(lits), key=abs)
+        if lits and not 1 <= abs(lits[0]) <= abs(lits[-1]) <= self.nvars:
+            raise ValueError(f"unknown variable in clause {lits}")
         if not self.ok:
             return False
-        assert not self.trail_lim, "clauses must be added at decision level 0"
         out: list[int] = []
-        for lit in sorted(set(lits), key=abs):
-            assert 1 <= abs(lit) <= self.nvars, f"unknown variable in literal {lit}"
+        for lit in lits:
             if -lit in set(out):
                 return True  # tautology
             if self._value(lit) == 1 and self.level[abs(lit)] == 0:
@@ -247,7 +255,8 @@ class CdclSolver:
             if counter == 0:
                 break
             c = reason[vp]
-            assert c is not None
+            if c is None:
+                raise RuntimeError(f"implied literal {p} has no reason")
         learnt[0] = -p
         for v in touched:
             seen[v] = 0
@@ -326,9 +335,11 @@ class CdclSolver:
     def solve(
         self,
         assumptions: Sequence[int] = (),
-        conflict_budget: int | None = None,
         should_stop: Callable[[], bool] | None = None,
-    ) -> bool | None:
+    ) -> bool:
+        for p in assumptions:
+            if not 1 <= abs(p) <= self.nvars:
+                raise ValueError(f"unknown assumption literal {p}")
         self.conflict = []
         if not self.ok:
             return False
@@ -340,14 +351,12 @@ class CdclSolver:
             if self.assigns[v] == 0
         ]
         heapify(self.order)
-        conflicts = 0
         since_restart = 0
         restart_idx = 0
         limit = _luby(0) * self.RESTART_BASE
         while True:
             confl = self._propagate()
             if confl is not None:
-                conflicts += 1
                 since_restart += 1
                 if should_stop is not None and should_stop():
                     self._backtrack(0)
@@ -368,9 +377,6 @@ class CdclSolver:
                     self._enqueue(learnt[0], c)
                 self.var_inc /= self.VAR_DECAY
                 self.cla_inc /= self.CLA_DECAY
-                if conflict_budget is not None and conflicts >= conflict_budget:
-                    self._backtrack(0)
-                    return None
                 continue
             if since_restart >= limit:
                 since_restart = 0
@@ -383,7 +389,6 @@ class CdclSolver:
             lvl = len(self.trail_lim)
             if lvl < len(assumptions):
                 p = assumptions[lvl]
-                assert 1 <= abs(p) <= self.nvars, f"unknown assumption literal {p}"
                 vp = self._value(p)
                 if vp == 1:
                     self.trail_lim.append(len(self.trail))

@@ -32,6 +32,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _seconds(text: str) -> float:
+    """--time-limit value: nonnegative seconds; inf is allowed, nan is not."""
+    try:
+        if float(text) >= 0:  # false for nan
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected nonnegative seconds, got {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hswcsp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -39,9 +49,7 @@ def _build_parser() -> _Parser:
     solve = sub.add_parser("solve", help="solve a .wcsp instance")
     solve.add_argument("instance", help="path to a .wcsp file")
     solve.add_argument("--alg", choices=("lb", "ub", "lub"), default="lub")
-    solve.add_argument("--time-limit", type=float, default=None, metavar="SEC")
-    solve.add_argument("--lb-cores", type=int, default=1, metavar="N")
-    solve.add_argument("--ub-cores", type=int, default=1, metavar="N")
+    solve.add_argument("--time-limit", type=_seconds, default=None, metavar="SEC")
     solve.add_argument("--seed-disjoint", action="store_true",
                        help="pre-seed the pool with disjoint cores")
     solve.add_argument("--trace", default=None, metavar="FILE",
@@ -63,7 +71,7 @@ def _build_parser() -> _Parser:
         "verify", help="check all three solvers against exhaustive search"
     )
     verify.add_argument("instance", help="path to a .wcsp file")
-    verify.add_argument("--time-limit", type=float, default=None, metavar="SEC")
+    verify.add_argument("--time-limit", type=_seconds, default=None, metavar="SEC")
     return parser
 
 
@@ -86,8 +94,6 @@ def _format_ub(ub: int | float) -> str:
 
 def cmd_solve(args: argparse.Namespace, invocation: str) -> int:
     w = _load(args.instance)
-    if args.time_limit is not None and args.time_limit < 0:
-        raise _InputError("--time-limit must be nonnegative")
 
     trace_file = None
     sink: Callable | None = None
@@ -129,18 +135,10 @@ def _dispatch_solve(w: Wcsp, args: argparse.Namespace, sink) -> SolveResult:
             w, time_limit=args.time_limit, seed_disjoint=args.seed_disjoint,
             trace=sink,
         )
-    try:
-        return hs_lub(
-            w,
-            lb_cores=args.lb_cores,
-            ub_cores=args.ub_cores,
-            time_limit=args.time_limit,
-            seed_disjoint=args.seed_disjoint,
-            trace=sink,
-            deterministic=args.deterministic,
-        )
-    except ValueError as exc:  # bad capacity split
-        raise _InputError(str(exc))
+    return hs_lub(
+        w, time_limit=args.time_limit, seed_disjoint=args.seed_disjoint,
+        trace=sink, deterministic=args.deterministic,
+    )
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -4,8 +4,9 @@ A core stays a core when a component is raised and the induced CSP stays
 UNSAT. Growth probes one single-level raise at a time, in repeated passes
 over the components, cheapest next increment first, until a full pass
 changes nothing. Every SAT probe met on the way is a solution vector, so
-its cost goes to the bound sink as an upper-bound candidate, witness
-attached.
+its cost goes to the caller's offer_ub callback as an upper-bound
+candidate, witness attached; the engine passes one that offers it to the
+core pool, which keeps it only if it improves the bound.
 
 Each UNSAT verdict carries a core that dominates its query, built from the
 oracle's failed assumptions. Growth keeps the core of the last UNSAT
@@ -17,42 +18,18 @@ the one the oracle would have given.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
-from .model import INF, SearchAborted, cost_of_vector
+from .model import SearchAborted, cost_of_vector
 from .sat_oracle import SatOracle
 
-__all__ = ["BoundSink", "RecordingSink", "maximal_core"]
-
-
-class BoundSink(Protocol):
-    """Where growth reports incidental upper-bound candidates."""
-
-    @property
-    def ub(self) -> float: ...
-
-    def offer_ub(self, value: int, witness: tuple[int, ...]) -> None: ...
-
-
-class RecordingSink:
-    """Minimal BoundSink: keeps the best candidate and remembers every offer."""
-
-    def __init__(self, ub: float = INF):
-        self.ub = ub
-        self.witness: tuple[int, ...] | None = None
-        self.offers: list[tuple[int, tuple[int, ...]]] = []
-
-    def offer_ub(self, value: int, witness: tuple[int, ...]) -> None:
-        self.offers.append((value, witness))
-        if value < self.ub:
-            self.ub = value
-            self.witness = witness
+__all__ = ["maximal_core"]
 
 
 def maximal_core(
     oracle: SatOracle,
     h: Sequence[int],
-    sink: BoundSink | None = None,
+    offer_ub: Callable[[int, tuple[int, ...]], object] | None = None,
     should_stop: Callable[[], bool] | None = None,
 ) -> tuple[int, ...]:
     """Grow the core h until every single-component raise is satisfiable.
@@ -68,9 +45,9 @@ def maximal_core(
     later raises of other components only loosen the induced CSP, so the
     SAT outcome is final.
 
-    SAT probes whose vector cost is already >= sink.ub still certify
-    settledness but are not reported as candidates. A raise that the last
-    UNSAT verdict's core dominates is applied without a probe.
+    Every SAT probe calls offer_ub(vector cost, witness) in probe order.
+    A raise that the last UNSAT verdict's core dominates is applied
+    without a probe.
     """
     w = oracle.w
     funcs = w.cost_functions
@@ -101,9 +78,8 @@ def maximal_core(
                 verdict = oracle.solve_under_vector(probe, should_stop=should_stop)
                 if verdict.satisfiable:
                     settled[i] = True
-                    probe_cost = cost_of_vector(probe)
-                    if sink is not None and probe_cost < sink.ub:
-                        sink.offer_ub(probe_cost, verdict.witness)
+                    if offer_ub is not None:
+                        offer_ub(cost_of_vector(probe), verdict.witness)
                     continue
                 bound = verdict.core
             v[i] = raised

@@ -15,10 +15,12 @@ take effect mid-search.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .core_grow import maximal_core
@@ -81,8 +83,8 @@ class TraceRecorder:
 class CorePool:
     """Shared pool of cores plus the current bounds.
 
-    cores only grow, lb only rises, ub only falls; revision counts core
-    appends so workers can cheaply notice news. best_witness is the
+    cores only grow, lb only rises, ub only falls; workers read the cores
+    appended since their last look with cores_since. best_witness is the
     assignment behind the last accepted ub (its evaluated total is <= ub,
     since bound updates may carry vector costs). All mutation happens
     under one lock and is stamped into the recorder, so a trace is a
@@ -97,15 +99,10 @@ class CorePool:
         self.lb: int = 0
         self.ub: int | float = INF
         self.best_witness: tuple[int, ...] | None = None
-        self.revision = 0
 
     def _record(self, kind: str, value: int, source: str) -> None:
         if self.recorder is not None:
             self.recorder.record(kind, value, source)
-
-    def snapshot(self) -> list[tuple[int, ...]]:
-        with self._lock:
-            return list(self.cores)
 
     def cores_since(self, start: int) -> list[tuple[int, ...]]:
         """Cores appended after the first `start` ones, in append order."""
@@ -124,7 +121,6 @@ class CorePool:
                 return False
             self._seen.add(core)
             self.cores.append(core)
-            self.revision += 1
             self._record("CORE", len(self.cores), source)
             return True
 
@@ -144,21 +140,6 @@ class CorePool:
             self.best_witness = witness
             self._record("UB", value, source)
             return True
-
-
-class _PoolSink:
-    """BoundSink view of a pool for one worker's growth calls."""
-
-    def __init__(self, pool: CorePool, source: str):
-        self._pool = pool
-        self._source = source
-
-    @property
-    def ub(self) -> int | float:
-        return self._pool.ub
-
-    def offer_ub(self, value: int, witness: tuple[int, ...]) -> None:
-        self._pool.offer_ub(value, witness, self._source)
 
 
 @dataclass(frozen=True)
@@ -215,9 +196,8 @@ class _Worker:
         if verdict.satisfiable:
             pool.offer_ub(cost_of_vector(h), verdict.witness, self.source)
         else:
-            grown = maximal_core(
-                self.oracle, h, _PoolSink(pool, self.source), should_stop=self.halt
-            )
+            offer_ub = partial(pool.offer_ub, source=self.source)
+            grown = maximal_core(self.oracle, h, offer_ub, should_stop=self.halt)
             pool.add_core(grown, self.source)
         return _CONTINUE
 
@@ -273,7 +253,6 @@ def seed_disjoint_cores(
     w: Wcsp,
     pool: CorePool,
     oracle: SatOracle | None = None,
-    backend: str = "cdcl",
     should_stop: Callable[[], bool] | None = None,
 ) -> int:
     """Pre-fill the pool with cores whose below-maximum components are
@@ -292,18 +271,18 @@ def seed_disjoint_cores(
     Returns the number of cores added.
     """
     if oracle is None:
-        oracle = SatOracle(w, backend=backend)
+        oracle = SatOracle(w)
     mins, maxs = w.min_vector(), w.max_vector()
     used: set[int] = set()
     added: list[tuple[int, ...]] = []
-    sink = _PoolSink(pool, "SEED")
+    offer_ub = partial(pool.offer_ub, source="SEED")
     while True:
         probe = tuple(maxs[i] if i in used else mins[i] for i in range(w.m))
         verdict = oracle.solve_under_vector(probe, should_stop=should_stop)
         if verdict.satisfiable:
             pool.offer_ub(w.evaluate(verdict.witness).total, verdict.witness, "SEED")
             break
-        grown = maximal_core(oracle, probe, sink, should_stop=should_stop)
+        grown = maximal_core(oracle, probe, offer_ub, should_stop=should_stop)
         pool.add_core(grown, "SEED")
         added.append(grown)
         fresh = {i for i in range(w.m) if grown[i] < maxs[i]} - used
@@ -392,11 +371,12 @@ def _solve(
     pool: CorePool | None,
     time_limit: float | None,
     seed_disjoint: bool,
-    backend: str,
     trace: Callable[[TraceEvent], None] | None,
     threaded: bool,
     jitter_seed: int | None,
 ) -> SolveResult:
+    if time_limit is not None and math.isnan(time_limit):
+        raise ValueError("time_limit must be a number of seconds, got nan")
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
     recorder = TraceRecorder(trace)
@@ -418,17 +398,17 @@ def _solve(
     errors: list[tuple[str, BaseException]] = []
     try:
         if not halt():
-            shared_oracle = SatOracle(w, backend=backend)
+            shared_oracle = SatOracle(w)
             if not shared_oracle.solve_csp(should_stop=halt).satisfiable:
                 infeasible = True
             else:
                 if seed_disjoint:
                     seed_disjoint_cores(w, pool, shared_oracle, should_stop=halt)
                 if enable_lb:
-                    oracle = SatOracle(w, backend=backend) if threaded else shared_oracle
+                    oracle = SatOracle(w) if threaded else shared_oracle
                     workers.append(_LbWorker(w, pool, oracle, halt))
                 if enable_ub:
-                    oracle = SatOracle(w, backend=backend) if threaded else shared_oracle
+                    oracle = SatOracle(w) if threaded else shared_oracle
                     workers.append(_UbWorker(w, pool, oracle, halt))
                 if threaded:
                     outcome, errors = _run_threaded(
@@ -472,12 +452,11 @@ def hs_lb(
     pool: CorePool | None = None,
     time_limit: float | None = None,
     seed_disjoint: bool = False,
-    backend: str = "cdcl",
     trace: Callable[[TraceEvent], None] | None = None,
 ) -> SolveResult:
     """Lower-bound-driven loop: optimal hitting vectors, rising lb."""
     return _solve(
-        w, True, False, pool, time_limit, seed_disjoint, backend, trace,
+        w, True, False, pool, time_limit, seed_disjoint, trace,
         threaded=False, jitter_seed=None,
     )
 
@@ -487,24 +466,20 @@ def hs_ub(
     pool: CorePool | None = None,
     time_limit: float | None = None,
     seed_disjoint: bool = False,
-    backend: str = "cdcl",
     trace: Callable[[TraceEvent], None] | None = None,
 ) -> SolveResult:
     """Upper-bound-driven loop: any hitting vector under the incumbent."""
     return _solve(
-        w, False, True, pool, time_limit, seed_disjoint, backend, trace,
+        w, False, True, pool, time_limit, seed_disjoint, trace,
         threaded=False, jitter_seed=None,
     )
 
 
 def hs_lub(
     w: Wcsp,
-    lb_cores: int = 1,
-    ub_cores: int = 1,
     pool: CorePool | None = None,
     time_limit: float | None = None,
     seed_disjoint: bool = False,
-    backend: str = "cdcl",
     trace: Callable[[TraceEvent], None] | None = None,
     deterministic: bool = False,
     jitter_seed: int | None = None,
@@ -512,27 +487,12 @@ def hs_lub(
     """Both loops sharing one pool, each consuming the other's cores and
     bounds.
 
-    lb_cores/ub_cores are worker capacities; 0 disables that worker (the
-    capacity split beyond on/off does not parallelize node expansion).
-    deterministic runs the enabled workers as a single-thread round-robin
-    with fixed tie-breaks instead of two threads; jitter_seed adds tiny
+    The two loops run in two threads, or, with deterministic, as a
+    single-thread round-robin with fixed tie-breaks. jitter_seed adds tiny
     seeded sleeps at iteration boundaries of threaded runs to vary the
-    interleaving.
+    interleaving. One loop alone is hs_lb or hs_ub.
     """
-    if lb_cores < 0 or ub_cores < 0:
-        raise ValueError("worker capacities must be nonnegative")
-    if lb_cores == 0 and ub_cores == 0:
-        raise ValueError("at least one worker must have capacity")
-    both = lb_cores > 0 and ub_cores > 0
     return _solve(
-        w,
-        lb_cores > 0,
-        ub_cores > 0,
-        pool,
-        time_limit,
-        seed_disjoint,
-        backend,
-        trace,
-        threaded=both and not deterministic,
-        jitter_seed=jitter_seed,
+        w, True, True, pool, time_limit, seed_disjoint, trace,
+        threaded=not deterministic, jitter_seed=jitter_seed,
     )

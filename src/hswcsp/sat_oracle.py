@@ -15,10 +15,10 @@ component with no failed selector goes to its maximum level. The failed
 selectors are a subset of the core's own assumptions, so the core is UNSAT,
 and every vector it dominates is UNSAT as well.
 
-Backends are pluggable: anything with new_var/add_clause/solve/model_value
-and a `conflict` list (the default CDCL solver, or the naive
-chronological-backtracking one kept for differential testing, which reports
-every assumption as failed).
+Backends are pluggable: anything with new_var/add_clause/model_value, a
+`conflict` list, and a solve that answers True or False or raises
+SearchAborted (the default CDCL solver, or the naive backtracking one kept
+for differential testing, which reports every assumption as failed).
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ from typing import Callable, Protocol, Sequence
 
 from .cdcl import CdclSolver
 from .model import SearchAborted, Wcsp
-
-
-class BudgetExhausted(RuntimeError):
-    """The solver hit its conflict budget before reaching a verdict."""
 
 
 @dataclass(frozen=True)
@@ -62,9 +58,8 @@ class SatBackend(Protocol):
     def solve(
         self,
         assumptions: Sequence[int] = (),
-        conflict_budget: int | None = None,
         should_stop: Callable[[], bool] | None = None,
-    ) -> bool | None: ...
+    ) -> bool: ...
 
     def model_value(self, var: int) -> bool: ...
 
@@ -75,10 +70,8 @@ class NaiveSolver:
     Exists to cross-check the CDCL solver, so it stays dumb on purpose:
     one static pure-literal pass (gets the unasserted selectors out of the
     way), then depth-first search in variable order with violation checks
-    against the occurrence lists. Conflict budgets are ignored; a budget
-    cannot be exhausted by a solver that counts no conflicts. An UNSAT
-    answer blames every assumption, which is sound but never lets core
-    growth skip a probe.
+    against the occurrence lists. An UNSAT answer blames every assumption,
+    which is sound but never lets core growth skip a probe.
     """
 
     def __init__(self) -> None:
@@ -117,9 +110,8 @@ class NaiveSolver:
     def solve(
         self,
         assumptions: Sequence[int] = (),
-        conflict_budget: int | None = None,
         should_stop: Callable[[], bool] | None = None,
-    ) -> bool | None:
+    ) -> bool:
         self.conflict = list(assumptions)
         if not self.ok:
             return False
@@ -303,17 +295,9 @@ class SatOracle:
             self.solver.add_clause(c)
 
     def _run(
-        self,
-        assumptions: list[int],
-        conflict_budget: int | None,
-        should_stop: Callable[[], bool] | None,
+        self, assumptions: list[int], should_stop: Callable[[], bool] | None
     ) -> OracleVerdict:
-        res = self.solver.solve(
-            assumptions, conflict_budget=conflict_budget, should_stop=should_stop
-        )
-        if res is None:
-            raise BudgetExhausted(f"no verdict within {conflict_budget} conflicts")
-        if not res:
+        if not self.solver.solve(assumptions, should_stop=should_stop):
             return OracleVerdict(
                 False, None, self.encoding.core_for(self.solver.conflict)
             )
@@ -322,25 +306,18 @@ class SatOracle:
         )
 
     def solve_csp(
-        self,
-        conflict_budget: int | None = None,
-        should_stop: Callable[[], bool] | None = None,
+        self, should_stop: Callable[[], bool] | None = None
     ) -> OracleVerdict:
         """Feasibility of the hard constraints alone (no cost bounds)."""
-        return self._run([], conflict_budget, should_stop)
+        return self._run([], should_stop)
 
     def solve_under_vector(
-        self,
-        v: Sequence[int],
-        conflict_budget: int | None = None,
-        should_stop: Callable[[], bool] | None = None,
+        self, v: Sequence[int], should_stop: Callable[[], bool] | None = None
     ) -> OracleVerdict:
         """SAT iff v is a solution vector of the instance. An UNSAT verdict's
         core dominates v."""
         v = self.w.validate_vector(v)
-        verdict = self._run(
-            self.encoding.assumptions_for(v), conflict_budget, should_stop
-        )
+        verdict = self._run(self.encoding.assumptions_for(v), should_stop)
         if verdict.satisfiable:
             ev = self.w.evaluate(verdict.witness)
             if not ev.feasible or any(

@@ -55,6 +55,9 @@ def test_solve_infeasible_exit_code(infeasible, tmp_path, capsys):
         ("gen", "--vars", "3", "--dom", "2", "--funcs", "0", "-o", "OUT"),
         ("nonsense",),
         (),
+        ("solve", "FIG1", "--time-limit", "nan"),
+        ("verify", "FIG1", "--time-limit", "-1"),
+        ("verify", "FIG1", "--time-limit", "nan"),
     ],
 )
 def test_usage_and_input_errors_exit_1(fig1_path, tmp_path, capsys, argv):

@@ -1,12 +1,13 @@
 import random
+from functools import partial
 
 import pytest
 
 from hswcsp import (
-    INF,
-    RecordingSink,
+    CorePool,
     SatOracle,
     SearchAborted,
+    TraceRecorder,
     generate,
     leq,
     maximal_core,
@@ -29,46 +30,41 @@ def test_not_a_core_is_a_caller_bug(fig1):
         maximal_core(SatOracle(fig1), (0, 20))
 
 
+def _pool_offer(pool: CorePool):
+    return partial(pool.offer_ub, source="MAIN")
+
+
 def test_growth_offers_probe_vector_costs(fig1):
     """Growing (0,0): raises to (5,5), then probes (20,5) and (5,20).
 
     Both probes are SAT at vector cost 25, but only the first one beats
-    the sink bound, so exactly one offer lands.
+    the pool's bound, so exactly one offer lands.
     """
-    sink = RecordingSink()
-    grown = maximal_core(SatOracle(fig1), (0, 0), sink=sink)
+    recorder = TraceRecorder()
+    pool = CorePool(recorder)
+    grown = maximal_core(SatOracle(fig1), (0, 0), _pool_offer(pool))
     assert grown == (5, 5)
-    assert sink.ub == 25
-    assert len(sink.offers) == 1
-    value, witness = sink.offers[0]
-    assert value == 25
-    ev = fig1.evaluate(witness)
+    assert pool.ub == 25
+    assert [(e.kind, e.value) for e in recorder.events] == [("UB", 25)]
+    ev = fig1.evaluate(pool.best_witness)
     assert ev.feasible
     # the witness satisfies the SAT probe (20, 5), componentwise
     assert leq(ev.per_function, (20, 5))
-    assert ev.total <= value
+    assert ev.total <= 25
 
 
 def test_growth_respects_preexisting_bound(fig1):
-    # with ub already at 20, the cost-25 probes are not worth reporting
-    sink = RecordingSink(ub=20)
-    assert maximal_core(SatOracle(fig1), (0, 0), sink=sink) == (5, 5)
-    assert sink.offers == []
-    assert sink.ub == 20 and sink.witness is None
+    # with ub already at 20, the cost-25 probes do not land
+    recorder = TraceRecorder()
+    pool = CorePool(recorder)
+    pool.offer_ub(20, (0, 1, 1), "MAIN")
+    assert maximal_core(SatOracle(fig1), (0, 0), _pool_offer(pool)) == (5, 5)
+    assert [(e.kind, e.value) for e in recorder.events] == [("UB", 20)]
+    assert pool.ub == 20 and pool.best_witness == (0, 1, 1)
 
 
 def test_growth_without_sink(fig1):
-    assert maximal_core(SatOracle(fig1), (0, 0), sink=None) == (5, 5)
-
-
-def test_recording_sink_keeps_best():
-    sink = RecordingSink()
-    assert sink.ub == INF
-    sink.offer_ub(30, (0,))
-    sink.offer_ub(40, (1,))
-    sink.offer_ub(25, (2,))
-    assert sink.ub == 25 and sink.witness == (2,)
-    assert [v for v, _ in sink.offers] == [30, 40, 25]
+    assert maximal_core(SatOracle(fig1), (0, 0), offer_ub=None) == (5, 5)
 
 
 def test_stop_now_aborts(fig1):
@@ -117,9 +113,9 @@ def test_grown_cores_are_maximal_on_random_instances(corpus):
 class _Counting(SatOracle):
     calls = 0
 
-    def solve_under_vector(self, v, conflict_budget=None, should_stop=None):
+    def solve_under_vector(self, v, should_stop=None):
         self.calls += 1
-        return super().solve_under_vector(v, conflict_budget, should_stop)
+        return super().solve_under_vector(v, should_stop)
 
 
 def test_skipped_probes_do_not_change_growth(corpus):
@@ -145,9 +141,9 @@ def test_skipped_probes_do_not_change_growth(corpus):
             runs = []
             for backend in ("cdcl", "naive"):
                 oracle = _Counting(w, backend)
-                sink = RecordingSink()
-                core = maximal_core(oracle, start, sink)
-                runs.append((core, [v for v, _ in sink.offers], oracle.calls))
+                offers = []
+                core = maximal_core(oracle, start, lambda v, _: offers.append(v))
+                runs.append((core, offers, oracle.calls))
             (cdcl_core, cdcl_offers, cdcl_calls), (core, offers, calls) = runs
             assert cdcl_core == core
             assert cdcl_offers == offers

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from hswcsp import (
-    BudgetExhausted,
     Encoding,
     SatOracle,
     SearchAborted,
@@ -71,17 +70,6 @@ def test_witness_respects_bounds(fig1):
 def test_vector_validation_propagates(fig1):
     with pytest.raises(ValueError, match="not a level"):
         SatOracle(fig1).solve_under_vector((0, 7))
-
-
-def test_budget_exhaustion(fig1):
-    oracle = SatOracle(fig1)
-    with pytest.raises(BudgetExhausted):
-        oracle.solve_under_vector((0, 0), conflict_budget=0)
-    # an easy satisfiable query needs no conflicts at all
-    assert oracle.solve_under_vector((20, 20), conflict_budget=0).satisfiable
-    # the naive backend counts no conflicts, so budgets cannot bite
-    naive = SatOracle(fig1, "naive")
-    assert not naive.solve_under_vector((0, 0), conflict_budget=0).satisfiable
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -150,8 +138,8 @@ def test_differential_small_corpus():
 class _IgnoresBounds(CdclSolver):
     """Answers every query as if no cost bound were assumed."""
 
-    def solve(self, assumptions=(), conflict_budget=None, should_stop=None):
-        return super().solve((), conflict_budget, should_stop)
+    def solve(self, assumptions=(), should_stop=None):
+        return super().solve((), should_stop)
 
 
 class _Blames(CdclSolver):
@@ -159,7 +147,7 @@ class _Blames(CdclSolver):
 
     blamed = 0
 
-    def solve(self, assumptions=(), conflict_budget=None, should_stop=None):
+    def solve(self, assumptions=(), should_stop=None):
         self.conflict = [self.blamed]
         return False
 
@@ -209,8 +197,39 @@ def test_check_decode_one_hot(fig1):
         Encoding(fig1).decode(lambda var: False)
 
 
+def test_check_cdcl_clause_variables_are_known():
+    s = CdclSolver()
+    a, b = s.new_var(), s.new_var()
+    for clause in ([a, 3], [-3], [0], [b, 0, -a]):
+        with pytest.raises(ValueError, match="unknown variable"):
+            s.add_clause(clause)
+    assert s.add_clause([a, b]) and s.solve()
+
+
+def test_check_cdcl_assumptions_are_known():
+    s = CdclSolver()
+    a = s.new_var()
+    s.add_clause([a])
+    # checked on entry: the failing -a would end the search before 2
+    for assumptions in ([2], [-a, 2], [0]):
+        with pytest.raises(ValueError, match="unknown assumption"):
+            s.solve(assumptions)
+    assert s.solve([a]) and not s.solve([-a])
+
+
+def test_check_cdcl_clauses_join_at_level_0():
+    s = CdclSolver()
+    a, b, c = s.new_var(), s.new_var(), s.new_var()
+    s.add_clause([-a, b])
+    s.add_clause([-a, -b])
+    # assuming a conflicts at level 1, where the stop poll adds a clause
+    with pytest.raises(RuntimeError, match="decision level 0"):
+        s.solve([a], should_stop=lambda: not s.add_clause([c]))
+
+
 def test_optimized_mode_keeps_checks():
     """The test_check_* cases pass under python -O, which strips asserts."""
+    checks = sum(name.startswith("test_check_") for name in globals())
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          __file__, "-k", "test_check_"],
@@ -219,7 +238,7 @@ def test_optimized_mode_keeps_checks():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout
+    assert f"{checks} passed" in proc.stdout
 
 
 def test_unsat_verdicts_carry_a_dominating_core(fig1):

@@ -6,7 +6,8 @@ and repeated lower bounds. A digest covers the (kind, value, source) of
 every trace event plus the per-worker iteration counts, the same payload
 the benchmark digests. A change that keeps the hitting contract (same
 optimal cost, same lexicographic tie-break, same kept-core order) keeps
-every digest.
+every digest. The "+seed" runs pre-fill the pool with seed_disjoint, so
+they also pin the bounds that seeding and its core growth offer.
 """
 
 import hashlib
@@ -26,6 +27,9 @@ STRATEGIES = {
     "hs_lb": hs_lb,
     "hs_ub": hs_ub,
     "hs_lub_det": lambda w: hs_lub(w, deterministic=True),
+    "hs_lb+seed": lambda w: hs_lb(w, seed_disjoint=True),
+    "hs_ub+seed": lambda w: hs_ub(w, seed_disjoint=True),
+    "hs_lub_det+seed": lambda w: hs_lub(w, deterministic=True, seed_disjoint=True),
 }
 
 PINNED = [
@@ -35,6 +39,12 @@ PINNED = [
     ("hard", "hs_lb", 6, "ef70ea75ecd5631e"),
     ("hard", "hs_ub", 6, "37a53b733b08e7e0"),
     ("hard", "hs_lub_det", 6, "a7bc95f5fc8149b2"),
+    ("soft", "hs_lb+seed", 29, "517fbb14533b33a1"),
+    ("soft", "hs_ub+seed", 29, "526021fbd074c9da"),
+    ("soft", "hs_lub_det+seed", 29, "de1ae3b297c4e5e0"),
+    ("hard", "hs_lb+seed", 6, "12b4d7c4c2a667f0"),
+    ("hard", "hs_ub+seed", 6, "66ed51a9ec7624e0"),
+    ("hard", "hs_lub_det+seed", 6, "b6312e27e02483da"),
 ]
 
 
