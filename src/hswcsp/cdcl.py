@@ -9,12 +9,13 @@ solver can be reused incrementally with different assumption sets.
 
 solve() returns True (model available) or False (unsatisfiable under the
 given assumptions), and raises SearchAborted when its should_stop
-predicate fires at a conflict. Every False answer also sets `conflict`,
-the failed assumptions: a subset of the assumption literals that is
-unsatisfiable on its own together with the clauses (MiniSat's
-analyzeFinal; Een & Sorensson, SAT 2003). It is found by walking the
-reasons of the falsified assumption back to the assumption decisions, and
-is empty when the clauses are unsatisfiable at level 0.
+predicate fires at a conflict. However it ends, a raise included, it
+leaves the solver at decision level 0, ready for add_clause. Every False
+answer also sets `conflict`, the failed assumptions: a subset of the
+assumption literals that is unsatisfiable on its own together with the
+clauses (MiniSat's analyzeFinal; Een & Sorensson, SAT 2003). It is found
+by walking the reasons of the falsified assumption back to the assumption
+decisions, and is empty when the clauses are unsatisfiable at level 0.
 
 Misuse raises real exceptions, kept under `python -O`: an unknown variable
 (or literal 0) in a clause or an assumption is a ValueError, and a clause
@@ -343,7 +344,6 @@ class CdclSolver:
         self.conflict = []
         if not self.ok:
             return False
-        self._backtrack(0)
         # fresh heap per call; lazy duplicates would otherwise pile up
         self.order = [
             (-self.activity[v], v)
@@ -354,59 +354,59 @@ class CdclSolver:
         since_restart = 0
         restart_idx = 0
         limit = _luby(0) * self.RESTART_BASE
-        while True:
-            confl = self._propagate()
-            if confl is not None:
-                since_restart += 1
-                if should_stop is not None and should_stop():
-                    self._backtrack(0)
-                    raise SearchAborted("sat search interrupted")
-                if not self.trail_lim:
-                    self.ok = False
-                    return False
-                learnt, bt = self._analyze(confl)
-                self._backtrack(bt)
-                if len(learnt) == 1:
-                    self._enqueue(learnt[0], None)
-                else:
-                    c = _Clause(learnt, learnt=True)
-                    c.act = self.cla_inc
-                    self.learned.append(c)
-                    self.watches[learnt[0]].append(c)
-                    self.watches[learnt[1]].append(c)
-                    self._enqueue(learnt[0], c)
-                self.var_inc /= self.VAR_DECAY
-                self.cla_inc /= self.CLA_DECAY
-                continue
-            if since_restart >= limit:
-                since_restart = 0
-                restart_idx += 1
-                limit = _luby(restart_idx) * self.RESTART_BASE
-                self._backtrack(0)
-                continue
-            if len(self.learned) >= self.max_learnts + len(self.trail):
-                self._reduce_db()
-            lvl = len(self.trail_lim)
-            if lvl < len(assumptions):
-                p = assumptions[lvl]
-                vp = self._value(p)
-                if vp == 1:
-                    self.trail_lim.append(len(self.trail))
+        try:
+            while True:
+                confl = self._propagate()
+                if confl is not None:
+                    since_restart += 1
+                    if should_stop is not None and should_stop():
+                        raise SearchAborted("sat search interrupted")
+                    if not self.trail_lim:
+                        self.ok = False
+                        return False
+                    learnt, bt = self._analyze(confl)
+                    self._backtrack(bt)
+                    if len(learnt) == 1:
+                        self._enqueue(learnt[0], None)
+                    else:
+                        c = _Clause(learnt, learnt=True)
+                        c.act = self.cla_inc
+                        self.learned.append(c)
+                        self.watches[learnt[0]].append(c)
+                        self.watches[learnt[1]].append(c)
+                        self._enqueue(learnt[0], c)
+                    self.var_inc /= self.VAR_DECAY
+                    self.cla_inc /= self.CLA_DECAY
                     continue
-                if vp == -1:
-                    self.conflict = self._analyze_final(p)
+                if since_restart >= limit:
+                    since_restart = 0
+                    restart_idx += 1
+                    limit = _luby(restart_idx) * self.RESTART_BASE
                     self._backtrack(0)
-                    return False
+                    continue
+                if len(self.learned) >= self.max_learnts + len(self.trail):
+                    self._reduce_db()
+                lvl = len(self.trail_lim)
+                if lvl < len(assumptions):
+                    p = assumptions[lvl]
+                    vp = self._value(p)
+                    if vp == 1:
+                        self.trail_lim.append(len(self.trail))
+                        continue
+                    if vp == -1:
+                        self.conflict = self._analyze_final(p)
+                        return False
+                    self.trail_lim.append(len(self.trail))
+                    self._enqueue(p, None)
+                    continue
+                v = self._pick_var()
+                if v is None:
+                    self.model = list(self.assigns)
+                    return True
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(p, None)
-                continue
-            v = self._pick_var()
-            if v is None:
-                self.model = list(self.assigns)
-                self._backtrack(0)
-                return True
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(v if self.polarity[v] > 0 else -v, None)
+                self._enqueue(v if self.polarity[v] > 0 else -v, None)
+        finally:
+            self._backtrack(0)  # every exit, an exception's too, leaves level 0
 
     def model_value(self, var: int) -> bool:
         return self.model[var] == 1

@@ -6,7 +6,10 @@ over the components, cheapest next increment first, until a full pass
 changes nothing. Every SAT probe met on the way is a solution vector, so
 its cost goes to the caller's offer_ub callback as an upper-bound
 candidate, witness attached; the engine passes one that offers it to the
-core pool, which keeps it only if it improves the bound.
+core pool, which keeps it only if it improves the bound. That holds for
+the first probe too, of the start vector itself: a start vector that is
+not a core is offered and growth returns None, so a caller needs no
+query of its own to tell a solution from a core.
 
 Each UNSAT verdict carries a core that dominates its query, built from the
 oracle's failed assumptions. Growth keeps the core of the last UNSAT
@@ -31,12 +34,13 @@ def maximal_core(
     h: Sequence[int],
     offer_ub: Callable[[int, tuple[int, ...]], object] | None = None,
     should_stop: Callable[[], bool] | None = None,
-) -> tuple[int, ...]:
+) -> tuple[int, ...] | None:
     """Grow the core h until every single-component raise is satisfiable.
 
     The result k dominates h, is itself a core, and no component of k can
     be raised one level without the induced CSP becoming satisfiable.
-    Raising h when it is not a core is a caller bug and raises ValueError.
+    When h is not a core, the first probe already answers SAT: the result
+    is None, after offer_ub(cost of h, witness).
 
     Growth order: each pass visits the not-yet-settled components in
     increasing order of their next-level cost increment (ties by index),
@@ -54,7 +58,9 @@ def maximal_core(
     v = list(w.validate_vector(h))
     first = oracle.solve_under_vector(v, should_stop=should_stop)
     if first.satisfiable:
-        raise ValueError(f"{tuple(h)} is not a core: the induced CSP is satisfiable")
+        if offer_ub is not None:
+            offer_ub(cost_of_vector(v), first.witness)
+        return None
     bound = first.core  # v <= bound throughout, and bound is a core
 
     idx = [f.levels.index(c) for f, c in zip(funcs, v)]

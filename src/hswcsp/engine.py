@@ -187,17 +187,15 @@ class _Worker:
         return self.problem
 
     def _probe(self, h: tuple[int, ...]) -> str:
-        """Shared tail of both loops: oracle on h, then solution or core."""
+        """Shared tail of both loops: a solution (offered by growth) or a
+        grown core, from one oracle query on h."""
         pool = self.pool
         if pool.lb >= pool.ub:
             return _FINISHED
-        verdict = self.oracle.solve_under_vector(h, should_stop=self.halt)
         self.iterations += 1
-        if verdict.satisfiable:
-            pool.offer_ub(cost_of_vector(h), verdict.witness, self.source)
-        else:
-            offer_ub = partial(pool.offer_ub, source=self.source)
-            grown = maximal_core(self.oracle, h, offer_ub, should_stop=self.halt)
+        offer_ub = partial(pool.offer_ub, source=self.source)
+        grown = maximal_core(self.oracle, h, offer_ub, should_stop=self.halt)
+        if grown is not None:
             pool.add_core(grown, self.source)
         return _CONTINUE
 

@@ -20,13 +20,17 @@ level whose suffix can still be completed within the optimal cost. The
 optimal hitter the cost search found serves as a witness that the current
 prefix can be completed, so only the levels below the witness's need a
 check; a successful check yields a completion that becomes the new
-witness.
+witness. A check is the same branch-and-bound search, run on the same
+persistent problem with the prefix fixed; no reduced problem is built.
+
+The search keeps its nodes on an explicit stack, so a pool that forces
+one raise per component searches as deep as it needs to.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import SearchAborted
 
@@ -99,24 +103,6 @@ class HittingProblem:
         except KeyError:
             raise ValueError(f"core {core} uses a cost that is not a level") from None
 
-    @classmethod
-    def _from_indices(
-        cls, levels: tuple[tuple[int, ...], ...], idx_cores: Iterable[tuple[int, ...]]
-    ) -> "HittingProblem":
-        # internal fast path: cores already index-encoded, dominated cores
-        # tolerated (they are implied, just redundant), no validation
-        p = cls.__new__(cls)
-        p.levels = levels
-        p.m = len(levels)
-        p.max_idx = tuple(len(ls) - 1 for ls in levels)
-        p._index_of = None
-        p.cores = tuple(dict.fromkeys(idx_cores))
-        p.core_raisable = tuple(
-            tuple(i for i in range(p.m) if k[i] < p.max_idx[i]) for k in p.cores
-        )
-        p.saturated = any(not r for r in p.core_raisable)
-        return p
-
     def vector_at(self, idx: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.levels[i][t] for i, t in enumerate(idx))
 
@@ -144,6 +130,8 @@ def _branch_search(
     bound: float,
     stop_at: float,
     should_stop: Callable[[], bool] | None,
+    prefix: Sequence[int] = (),
+    live: Sequence[int] | None = None,
 ) -> tuple[int, tuple[int, ...]] | None:
     """Cheapest hitting vector with cost strictly below `bound`.
 
@@ -155,22 +143,41 @@ def _branch_search(
     packing bound: cores whose raise options are pairwise disjoint cannot
     share a raise, so their cheapest raises are owed additively (and any
     single core's cheapest raise is owed regardless).
+
+    With a `prefix` the search covers only vectors that start with it: the
+    prefix components start and are capped at its levels, so only the
+    free suffix components are raised. `live` must then list the indices
+    of the cores the prefix leaves unhit; they are the only cores the
+    search sees. The returned tuple is a whole vector either way.
+
+    Nodes are generators driven from an explicit stack: a node yields the
+    cost of each child it wants searched and, when resumed, reads the
+    child's result from `returned`, so the depth of the tree (one level
+    per raise) is not limited by the interpreter's recursion limit. Nodes
+    return None, so next() ends each with its default instead of a
+    StopIteration that the stack loop would have to catch.
     """
-    levels, cores, m, max_idx = p.levels, p.cores, p.m, p.max_idx
-    raisable = p.core_raisable
+    levels = p.levels
+    if live is None:
+        cores, raisable = p.cores, p.core_raisable
+    else:
+        cores = [p.cores[ci] for ci in live]
+        raisable = [p.core_raisable[ci] for ci in live]
     ncores = len(cores)
-    v = [0] * m
-    caps = list(max_idx)
+    v = [*prefix, *[0] * (p.m - len(prefix))]
+    caps = [*prefix, *p.max_idx[len(prefix):]]
     hitcnt = [0] * ncores
     best = bound
     best_vec: tuple[int, ...] | None = None
     poll = _make_stop_poll(should_stop)
+    returned = False  # the result of the node that returned last
 
-    def node(cost: int) -> bool:
-        nonlocal best, best_vec
+    def node(cost: int) -> Iterator[int]:
+        nonlocal best, best_vec, returned
         poll()
         if cost >= best:
-            return False
+            returned = False
+            return
         pick = None
         pick_opts: list[int] | None = None
         owed = 0  # additive packing bound over claimed components
@@ -191,7 +198,8 @@ def _branch_search(
                     if cheapest < 0 or d < cheapest:
                         cheapest = d
             if not opts:
-                return False  # nothing can hit this core under the caps
+                returned = False  # nothing can hit this core under the caps
+                return
             if cheapest > single:
                 single = cheapest
             if not mask & packed:
@@ -202,9 +210,11 @@ def _branch_search(
         if pick_opts is None:
             best = cost
             best_vec = tuple(v)
-            return True
+            returned = True
+            return
         if cost + (owed if owed > single else single) >= best:
-            return False
+            returned = False
+            return
         pick_opts.sort(key=lambda i: (levels[i][pick[i] + 1] - levels[i][v[i]], i))
         saved_caps = []
         done = False
@@ -219,20 +229,26 @@ def _branch_search(
                     if old <= k[i] < t:
                         hitcnt[ci] += 1
                         touched.append(ci)
-                found = node(cost + delta)
+                yield cost + delta
                 v[i] = old
                 for ci in touched:
                     hitcnt[ci] -= 1
-                if found and best <= stop_at:
+                if returned and best <= stop_at:
                     done = True
                     break
             saved_caps.append((i, caps[i]))
             caps[i] = min(caps[i], pick[i])
         for i, c in reversed(saved_caps):
             caps[i] = c
-        return done
+        returned = done
 
-    node(p.min_cost())
+    stack = [node(sum(ls[t] for ls, t in zip(levels, v)))]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(node(child))
     if best_vec is None:
         return None
     return int(best), best_vec
@@ -251,51 +267,30 @@ def _lex_min_at_cost(
     that still lets the remaining components complete a hitter within the
     budget. The witness always agrees with the fixed prefix and completes
     it, so at each position only the levels below the witness's need a
-    check; each check is a first-solution branch-and-bound on the reduced
-    suffix problem, and a completion it finds becomes the next witness.
-    When no lower level completes, the witness's level is taken unsearched.
+    check. Each check is a first-solution _branch_search on `p` itself
+    under the prefix, fed the cores the prefix leaves unhit, a list this
+    pass narrows as it fixes components; the hitter a check finds becomes
+    the next witness. When no lower level completes, the witness's level
+    is taken unsearched.
     """
-    levels, cores, m = p.levels, p.cores, p.m
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + levels[i][0]
-
-    def completion(start: int, unhit: list[int], slack: int) -> tuple[int, ...] | None:
-        if not unhit:
-            return (0,) * (m - start)
-        if start == m:
-            return None
-        reduced = HittingProblem._from_indices(
-            levels[start:], [cores[ci][start:] for ci in unhit]
-        )
-        if reduced.saturated:
-            return None
-        found = _branch_search(
-            reduced, suffix[start] + slack + 1, math.inf, should_stop
-        )
-        return None if found is None else found[1]
-
+    cores = p.cores
     witness = tuple(witness)
-    fixed: list[int] = []
-    spent = 0
-    unhit = list(range(len(cores)))
-    for pos in range(m):
+    live: Sequence[int] = range(len(cores))  # cores the fixed prefix leaves unhit
+    for pos in range(p.m):
         for t in range(witness[pos]):
-            slack = target - spent - levels[pos][t] - suffix[pos + 1]
-            still = [ci for ci in unhit if cores[ci][pos] >= t]
-            rest = completion(pos + 1, still, slack)
-            if rest is not None:
-                witness = (*fixed, t, *rest)
+            still = [ci for ci in live if cores[ci][pos] >= t]
+            found = _branch_search(
+                p, target + 1, math.inf, should_stop, (*witness[:pos], t), still
+            )
+            if found is not None:
+                witness = found[1]
                 break
-        t = witness[pos]
-        fixed.append(t)
-        spent += levels[pos][t]
-        unhit = [ci for ci in unhit if cores[ci][pos] >= t]
-    if unhit or spent != target:
+        live = [ci for ci in live if cores[ci][pos] >= witness[pos]]
+    if live or sum(ls[t] for ls, t in zip(p.levels, witness)) != target:
         raise RuntimeError(
-            f"lex-min pass ended on {fixed}, which is not a hitter of cost {target}"
+            f"lex-min pass ended on {witness}, which is not a hitter of cost {target}"
         )
-    return tuple(fixed)
+    return witness
 
 
 def min_cost_hitting_vector(

@@ -261,12 +261,6 @@ class Encoding:
             out.append(chosen[0])
         return tuple(out)
 
-    def dimacs_base(self) -> str:
-        """Base clauses only, for cross-checking with external tools."""
-        lines = [f"p cnf {self.num_vars} {len(self.base_clauses)}"]
-        lines += [" ".join(map(str, c)) + " 0" for c in self.base_clauses]
-        return "\n".join(lines) + "\n"
-
 
 _BACKENDS: dict[str, Callable[[], SatBackend]] = {
     "cdcl": CdclSolver,

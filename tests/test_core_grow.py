@@ -26,8 +26,13 @@ def test_growth_result_dominates_start(fig1):
 
 
 def test_not_a_core_is_a_caller_bug(fig1):
-    with pytest.raises(ValueError, match="not a core"):
-        maximal_core(SatOracle(fig1), (0, 20))
+    # a satisfiable start is answered by the first probe: one offer, no core
+    offers = []
+    assert maximal_core(SatOracle(fig1), (0, 20), lambda *o: offers.append(o)) is None
+    [(value, witness)] = offers
+    assert value == 20
+    ev = fig1.evaluate(witness)
+    assert ev.feasible and leq(ev.per_function, (0, 20))
 
 
 def _pool_offer(pool: CorePool):

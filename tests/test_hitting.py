@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -268,3 +269,57 @@ def test_floor_never_changes_an_answer():
     # the search's first optimal hitter is often not the lex-min one, so
     # the witness-guided pass really does replace witnesses
     assert witness_replaced > 30
+
+
+def test_prefix_search_finds_the_cheapest_extension():
+    """Under a prefix, with the cores it leaves unhit and no early stop,
+    the search returns the cheapest hitter that starts with the prefix,
+    checked by enumeration, or None when no hitter does."""
+    rng = random.Random(5150)
+    found = missing = 0
+    for _ in range(300):
+        levels, pool = _random_growing_pool(rng, saturated_ok=False)
+        p = HittingProblem(levels, pool)
+        prefix = tuple(rng.randrange(len(ls)) for ls in levels[: rng.randint(0, p.m)])
+        live = [
+            ci for ci, k in enumerate(p.cores) if all(t <= k[i] for i, t in enumerate(prefix))
+        ]
+        extensions = [
+            sum(ls[i] for ls, i in zip(levels, idx))
+            for idx in itertools.product(*(range(len(ls)) for ls in levels))
+            if idx[: len(prefix)] == prefix and hits(p.vector_at(idx), pool)
+        ]
+        got = _branch_search(p, math.inf, -math.inf, None, prefix, live)
+        if not extensions:
+            assert got is None
+            missing += 1
+            continue
+        cost, idx = got
+        assert idx[: len(prefix)] == prefix and len(idx) == p.m
+        assert hits(p.vector_at(idx), pool)
+        assert cost == sum(p.vector_at(idx)) == min(extensions)
+        found += 1
+    assert found > 100 and missing > 30
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    """300 cores, each raisable only on its own component, force one raise
+    per component: the search tree is 300 levels deep."""
+    m = 300
+    levels = [(0, 1)] * m
+    pool = [tuple(0 if j == i else 1 for j in range(m)) for i in range(m)]
+    p = HittingProblem(levels, pool)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        assert min_cost_hitting_vector(p) == (1,) * m
+        assert cost_bounded_hitting_vector(p, m) is None
+    finally:
+        sys.setrecursionlimit(limit)

@@ -39,12 +39,6 @@ def test_assumptions_for(fig1):
     assert len(enc.assumptions_for((5, 20))) == 1
 
 
-def test_dimacs_header(fig1):
-    text = Encoding(fig1).dimacs_base()
-    assert text.startswith("p cnf 10 6\n")
-    assert text.strip().split("\n")[1].endswith(" 0")
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_solve_csp(fig1, infeasible, backend):
     assert SatOracle(fig1, backend).solve_csp().satisfiable
@@ -225,6 +219,23 @@ def test_check_cdcl_clauses_join_at_level_0():
     # assuming a conflicts at level 1, where the stop poll adds a clause
     with pytest.raises(RuntimeError, match="decision level 0"):
         s.solve([a], should_stop=lambda: not s.add_clause([c]))
+
+
+def test_solver_is_usable_after_a_raising_stop_poll():
+    s = CdclSolver()
+    a, b, c = s.new_var(), s.new_var(), s.new_var()
+    s.add_clause([-a, b])
+    s.add_clause([-a, -b])
+
+    def stop() -> bool:
+        raise KeyError("poll failed")
+
+    # assuming a conflicts at level 1, where the poll raises
+    with pytest.raises(KeyError, match="poll failed"):
+        s.solve([a], should_stop=stop)
+    assert s.add_clause([c, b])
+    assert not s.solve([a, -c]) and s.conflict == [a]
+    assert s.solve([-c]) and s.model_value(b) and not s.model_value(a)
 
 
 def test_optimized_mode_keeps_checks():
