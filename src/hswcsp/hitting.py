@@ -8,11 +8,17 @@ the core's level so the subtrees partition the solution space (split by the
 first component that ends up above the core).
 
 A HittingProblem is meant to persist across the steps of a solve: the
-caller adds each newly pooled core with add_cores, at O(kept cores * m)
-per core, instead of rebuilding the problem. Because cores are only ever
-added, the minimum hitting cost only rises, so the problem keeps the last
-optimum it proved as a floor; the next cost search stops at the first
-hitter costing no more than the floor, which is then optimal.
+caller appends each newly pooled core with add_cores, at O(m * levels)
+per core, instead of rebuilding the problem. The problem is append-only:
+a core keeps its index for good, so the per-component masks of the cores
+each raise hits only ever gain bits. Nothing is filtered but duplicates.
+A dominated core (componentwise <= another) would be redundant, not
+wrong: every vector that hits the dominating core hits it too, so it
+changes no hitting cost; and the engine never pools one, because grown
+cores are maximal. Because cores are only ever added, the minimum
+hitting cost only rises, so the problem keeps the last optimum it proved
+as a floor; the next cost search stops at the first hitter costing no
+more than the floor, which is then optimal.
 
 The tie-break among optimal hitters (lexicographically least level-index
 tuple) is a separate pass. It fixes components left to right at the lowest
@@ -23,8 +29,9 @@ check; a successful check yields a completion that becomes the new
 witness. A check is the same branch-and-bound search, run on the same
 persistent problem with the prefix fixed; no reduced problem is built.
 
-The search keeps its nodes on an explicit stack, so a pool that forces
-one raise per component searches as deep as it needs to.
+A search node keeps the cores its vector leaves unhit as one int, so it
+reads only those. The search keeps its nodes on an explicit stack, so a
+pool that forces one raise per component searches as deep as it needs to.
 """
 
 from __future__ import annotations
@@ -40,12 +47,24 @@ class PoolSaturatedError(RuntimeError):
 
 
 class HittingProblem:
-    """Per-function level sets plus a growing pool of cores, index-encoded.
+    """Per-function level sets plus an append-only pool of cores, index-encoded.
 
-    Built empty and grown with add_cores. Dominated cores (componentwise <=
-    another core) are dropped on insertion; hitting the dominating core
-    hits them for free. Kept cores stay in first-appearance order, so a
-    problem grown core by core equals one built from the whole pool.
+    Built empty and grown with add_cores. Cores keep their first-appearance
+    order and their index for the life of the problem; a duplicate of a
+    pooled core is dropped. A dominated core (componentwise <= another) is
+    kept: it is redundant, not wrong, since every vector that hits the
+    dominating core hits it too, so it changes no hitting cost. Engine
+    pools hold none anyway, because grown cores are maximal.
+
+    Alongside each core the problem keeps what the search reads:
+    `core_steps`, one (i, t, level value, 1 << i) per component i that can
+    still be raised above the core, where t is the level index just above
+    it (no steps means nothing hits the core, and sets `saturated`);
+    `core_untouched`, the (component
+    mask, count, cheapest increment) of its raise options from the lowest
+    levels with no cap; and the masks `below[i][t]`, whose bit ci is set
+    when raising component i to level index t hits core ci. Adding a core
+    costs O(m * levels).
 
     `floor` is a lower bound on the minimum hitting cost. It starts at the
     sum of the minimum levels and min_cost_hitting_vector raises it to each
@@ -68,31 +87,43 @@ class HittingProblem:
         self.max_idx = tuple(len(ls) - 1 for ls in self.levels)
         self._index_of = [{c: i for i, c in enumerate(ls)} for ls in self.levels]
         self.cores: tuple[tuple[int, ...], ...] = ()
-        # components that can still be raised above the core; empty == unhittable
-        self.core_raisable: tuple[tuple[int, ...], ...] = ()
+        self.core_steps: list[tuple[tuple[int, int, int, int], ...]] = []
+        self.core_untouched: list[tuple[int, int, int]] = []
+        self.below = [[0] * len(ls) for ls in self.levels]
+        self._seen: set[tuple[int, ...]] = set()
         self.saturated = False
         self.floor = self.min_cost()
         self.add_cores(pool)
 
     def add_cores(self, pool: Iterable[Sequence[int]]) -> None:
-        """Insert cores (as cost vectors) in order, O(kept cores * m) each.
+        """Append cores (as cost vectors) in order, O(m * levels) each.
 
-        A core dominated by a kept one (duplicates included) is dropped;
-        kept cores it dominates are removed. Every core is validated before
-        any is inserted.
+        A duplicate of a pooled core is dropped. Every core is validated
+        before any is appended.
         """
         new = [self._encode(k) for k in pool]
-        if not new:
-            return
-        kept = list(zip(self.cores, self.core_raisable))
+        cores = list(self.cores)
+        levels = self.levels
         for k in new:
-            if any(all(a <= b for a, b in zip(k, k2)) for k2, _ in kept):
+            if k in self._seen:
                 continue
-            kept = [(k2, r) for k2, r in kept if not all(b <= a for a, b in zip(k, k2))]
-            kept.append((k, tuple(i for i in range(self.m) if k[i] < self.max_idx[i])))
-        self.cores = tuple(k for k, _ in kept)
-        self.core_raisable = tuple(r for _, r in kept)
-        self.saturated = any(not r for r in self.core_raisable)
+            self._seen.add(k)
+            bit = 1 << len(cores)
+            up = tuple(i for i in range(self.m) if k[i] < self.max_idx[i])
+            for i in up:
+                masks = self.below[i]
+                for t in range(k[i] + 1, len(masks)):
+                    masks[t] |= bit
+            steps = tuple((i, k[i] + 1, levels[i][k[i] + 1], 1 << i) for i in up)
+            cores.append(k)
+            self.core_steps.append(steps)
+            self.core_untouched.append((
+                sum(1 << i for i in up),
+                len(steps),
+                min((lv - levels[i][0] for i, _, lv, _ in steps), default=0),
+            ))
+            self.saturated = self.saturated or not up
+        self.cores = tuple(cores)
 
     def _encode(self, core: Sequence[int]) -> tuple[int, ...]:
         core = tuple(core)
@@ -131,7 +162,6 @@ def _branch_search(
     stop_at: float,
     should_stop: Callable[[], bool] | None,
     prefix: Sequence[int] = (),
-    live: Sequence[int] | None = None,
 ) -> tuple[int, tuple[int, ...]] | None:
     """Cheapest hitting vector with cost strictly below `bound`.
 
@@ -139,16 +169,25 @@ def _branch_search(
     the first hitter costing at most `stop_at`: with stop_at = inf that is
     the first hitter found; with stop_at a lower bound on the optimum
     (the problem's floor) it is an optimal one. Branches on an unhit core
-    with the fewest raise options, cheapest increment first. Nodes carry a
-    packing bound: cores whose raise options are pairwise disjoint cannot
-    share a raise, so their cheapest raises are owed additively (and any
-    single core's cheapest raise is owed regardless).
+    with the fewest raise options (the first such core in kept order),
+    cheapest increment first. Nodes carry a packing bound: cores whose
+    raise options are pairwise disjoint cannot share a raise, so their
+    cheapest raises are owed additively (and any single core's cheapest
+    raise is owed regardless).
+
+    The cores the current vector leaves unhit are one int, bit ci for
+    core ci. A child that raises component i to level index t clears
+    `p.below[i][t]` from it and the parent restores it when resumed, so a
+    node reads only unhit cores, walking their bits in ascending order,
+    which is kept order; the packing bound depends on that order. A core
+    none of whose raisable components has been raised or capped yet has
+    the options in `p.core_untouched`; only the others are recounted.
 
     With a `prefix` the search covers only vectors that start with it: the
     prefix components start and are capped at its levels, so only the
-    free suffix components are raised. `live` must then list the indices
-    of the cores the prefix leaves unhit; they are the only cores the
-    search sees. The returned tuple is a whole vector either way.
+    free suffix components are raised, and the cores the prefix hits are
+    cleared from the root's mask. The returned tuple is a whole vector
+    either way.
 
     Nodes are generators driven from an explicit stack: a node yields the
     cost of each child it wants searched and, when resumed, reads the
@@ -157,47 +196,49 @@ def _branch_search(
     return None, so next() ends each with its default instead of a
     StopIteration that the stack loop would have to catch.
     """
-    levels = p.levels
-    if live is None:
-        cores, raisable = p.cores, p.core_raisable
-    else:
-        cores = [p.cores[ci] for ci in live]
-        raisable = [p.core_raisable[ci] for ci in live]
-    ncores = len(cores)
+    levels, steps, below = p.levels, p.core_steps, p.below
     v = [*prefix, *[0] * (p.m - len(prefix))]
+    val = [ls[t] for ls, t in zip(levels, v)]  # level values of v
     caps = [*prefix, *p.max_idx[len(prefix):]]
-    hitcnt = [0] * ncores
+    unhit = (1 << len(p.cores)) - 1
+    for i, t in enumerate(prefix):
+        unhit &= ~below[i][t]
     best = bound
     best_vec: tuple[int, ...] | None = None
     poll = _make_stop_poll(should_stop)
     returned = False  # the result of the node that returned last
+    untouched = p.core_untouched
+    touched = (1 << len(prefix)) - 1  # bit i: v[i] or caps[i] left its root default
 
     def node(cost: int) -> Iterator[int]:
-        nonlocal best, best_vec, returned
+        nonlocal best, best_vec, returned, unhit, touched
         poll()
         if cost >= best:
             returned = False
             return
-        pick = None
-        pick_opts: list[int] | None = None
+        pick = -1
+        pick_n = 0
         owed = 0  # additive packing bound over claimed components
         single = 0
         packed = 0
-        for ci in range(ncores):
-            if hitcnt[ci]:
-                continue
-            k = cores[ci]
-            opts = []
-            mask = 0
-            cheapest = -1
-            for i in raisable[ci]:
-                if k[i] < caps[i]:
-                    opts.append(i)
-                    mask |= 1 << i
-                    d = levels[i][k[i] + 1] - levels[i][v[i]]
-                    if cheapest < 0 or d < cheapest:
-                        cheapest = d
-            if not opts:
+        rest = unhit
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ci = low.bit_length() - 1
+            mask, n, cheapest = untouched[ci]
+            if mask & touched:
+                n = 0
+                mask = 0
+                cheapest = -1
+                for i, t, lv, b in steps[ci]:
+                    if t <= caps[i]:
+                        n += 1
+                        mask |= b
+                        d = lv - val[i]
+                        if cheapest < 0 or d < cheapest:
+                            cheapest = d
+            if not n:
                 returned = False  # nothing can hit this core under the caps
                 return
             if cheapest > single:
@@ -205,9 +246,9 @@ def _branch_search(
             if not mask & packed:
                 owed += cheapest
                 packed |= mask
-            if pick_opts is None or len(opts) < len(pick_opts):
-                pick, pick_opts = k, opts
-        if pick_opts is None:
+            if pick < 0 or n < pick_n:
+                pick, pick_n = ci, n
+        if pick < 0:
             best = cost
             best_vec = tuple(v)
             returned = True
@@ -215,34 +256,31 @@ def _branch_search(
         if cost + (owed if owed > single else single) >= best:
             returned = False
             return
-        pick_opts.sort(key=lambda i: (levels[i][pick[i] + 1] - levels[i][v[i]], i))
+        opts = [(lv - val[i], i, t, lv) for i, t, lv, _ in steps[pick] if t <= caps[i]]
+        opts.sort()
+        saved = unhit
+        saved_touched = touched
         saved_caps = []
         done = False
-        for i in pick_opts:
-            t = pick[i] + 1
-            if t <= caps[i]:
-                delta = levels[i][t] - levels[i][v[i]]
-                old = v[i]
-                v[i] = t
-                touched = []
-                for ci, k in enumerate(cores):
-                    if old <= k[i] < t:
-                        hitcnt[ci] += 1
-                        touched.append(ci)
-                yield cost + delta
-                v[i] = old
-                for ci in touched:
-                    hitcnt[ci] -= 1
-                if returned and best <= stop_at:
-                    done = True
-                    break
+        for d, i, t, lv in opts:
+            old = v[i]
+            v[i], val[i] = t, lv
+            touched |= 1 << i
+            unhit = saved & ~below[i][t]
+            yield cost + d
+            v[i], val[i] = old, lv - d
+            unhit = saved
+            if returned and best <= stop_at:
+                done = True
+                break
             saved_caps.append((i, caps[i]))
-            caps[i] = min(caps[i], pick[i])
+            caps[i] = t - 1  # later siblings keep i at or below the core
         for i, c in reversed(saved_caps):
             caps[i] = c
+        touched = saved_touched
         returned = done
 
-    stack = [node(sum(ls[t] for ls, t in zip(levels, v)))]
+    stack = [node(sum(val))]
     while stack:
         child = next(stack[-1], None)
         if child is None:
@@ -268,25 +306,21 @@ def _lex_min_at_cost(
     budget. The witness always agrees with the fixed prefix and completes
     it, so at each position only the levels below the witness's need a
     check. Each check is a first-solution _branch_search on `p` itself
-    under the prefix, fed the cores the prefix leaves unhit, a list this
-    pass narrows as it fixes components; the hitter a check finds becomes
-    the next witness. When no lower level completes, the witness's level
-    is taken unsearched.
+    under the prefix; the hitter a check finds becomes the next witness.
+    When no lower level completes, the witness's level is taken
+    unsearched. A mask of the cores the fixed prefix leaves unhit, narrowed
+    as components are fixed, checks at the end that the result hits them.
     """
-    cores = p.cores
     witness = tuple(witness)
-    live: Sequence[int] = range(len(cores))  # cores the fixed prefix leaves unhit
+    unhit = (1 << len(p.cores)) - 1
     for pos in range(p.m):
         for t in range(witness[pos]):
-            still = [ci for ci in live if cores[ci][pos] >= t]
-            found = _branch_search(
-                p, target + 1, math.inf, should_stop, (*witness[:pos], t), still
-            )
+            found = _branch_search(p, target + 1, math.inf, should_stop, (*witness[:pos], t))
             if found is not None:
                 witness = found[1]
                 break
-        live = [ci for ci in live if cores[ci][pos] >= witness[pos]]
-    if live or sum(ls[t] for ls, t in zip(p.levels, witness)) != target:
+        unhit &= ~p.below[pos][witness[pos]]
+    if unhit or sum(ls[t] for ls, t in zip(p.levels, witness)) != target:
         raise RuntimeError(
             f"lex-min pass ended on {witness}, which is not a hitter of cost {target}"
         )

@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -161,6 +162,7 @@ def test_module_entry_point(fig1_path):
         [sys.executable, "-m", "hswcsp.cli", "solve", fig1_path, "--alg", "ub"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("OPTIMAL 20\n")

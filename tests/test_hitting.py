@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +22,16 @@ from hswcsp.hitting import _branch_search, _lex_min_at_cost
 FIG1_LEVELS = [(0, 5, 20), (0, 5, 20)]
 
 
-def test_problem_drops_dominated_and_duplicate_cores():
+def test_problem_drops_duplicates_and_keeps_dominated_cores():
     p = HittingProblem(FIG1_LEVELS, [(5, 0), (5, 5), (5, 5), (0, 5)])
-    # (5,0) and (0,5) are componentwise below (5,5); hitting it hits them
-    assert p.cores == ((1, 1),)
-    assert p.vector_at(p.cores[0]) == (5, 5)
+    # (5,0) and (0,5) are componentwise below (5,5): redundant, not wrong,
+    # so they stay, in first-appearance order; the repeated (5,5) goes
+    assert p.cores == ((1, 0), (1, 1), (0, 1))
+    p.add_cores([(0, 5), (20, 0)])
+    assert [p.vector_at(k) for k in p.cores] == [(5, 0), (5, 5), (0, 5), (20, 0)]
+    assert min_cost_hitting_vector(p) == min_cost_hitting_vector(
+        HittingProblem(FIG1_LEVELS, [(5, 5), (20, 0)])
+    )
 
 
 def test_problem_keeps_incomparable_cores_in_order():
@@ -37,7 +43,8 @@ def test_problem_keeps_incomparable_cores_in_order():
 
 def test_problem_saturation_flag():
     assert HittingProblem(FIG1_LEVELS, [(20, 20)]).saturated
-    assert HittingProblem(FIG1_LEVELS, [(20, 5)]).core_raisable == ((1,),)
+    # only component 1 can rise above (20, 5): to level index 2, cost 20
+    assert HittingProblem(FIG1_LEVELS, [(20, 5)]).core_steps == [((1, 2, 20, 2),)]
 
 
 @pytest.mark.parametrize(
@@ -195,9 +202,14 @@ def _random_growing_pool(
     return levels, pool
 
 
+def _first_appearance(levels, pool) -> tuple[tuple[int, ...], ...]:
+    """Index-encoded cores of the pool, duplicates dropped, in first-appearance order."""
+    return tuple(dict.fromkeys(tuple(ls.index(c) for c, ls in zip(k, levels)) for k in pool))
+
+
 def _reference_kept(levels, pool) -> tuple[tuple[int, ...], ...]:
     """Index-encoded cores a one-shot quadratic dominance filter keeps."""
-    raw = list(dict.fromkeys(tuple(ls.index(c) for c, ls in zip(k, levels)) for k in pool))
+    raw = _first_appearance(levels, pool)
     return tuple(
         k
         for k in raw
@@ -205,12 +217,36 @@ def _reference_kept(levels, pool) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _min_cost_or_saturated(p: HittingProblem):
+    try:
+        return min_cost_hitting_vector(p)
+    except PoolSaturatedError:
+        return "saturated"
+
+
 def test_add_cores_matches_fresh_build():
     rng = random.Random(20261018)
     for _ in range(400):
         levels, pool = _random_growing_pool(rng, saturated_ok=True)
         whole = HittingProblem(levels, pool)
-        assert whole.cores == _reference_kept(levels, pool)
+        assert whole.cores == _first_appearance(levels, pool)
+        for i, masks in enumerate(whole.below):
+            for t, mask in enumerate(masks):
+                assert mask == sum(1 << ci for ci, k in enumerate(whole.cores) if k[i] < t)
+        # dominated cores are redundant: dropping them changes no answer
+        filtered = HittingProblem(
+            levels,
+            [tuple(ls[t] for ls, t in zip(levels, k)) for k in _reference_kept(levels, pool)],
+        )
+        best = _min_cost_or_saturated(whole)
+        assert best == _min_cost_or_saturated(filtered)
+        ubs = [math.inf] if best == "saturated" else [sum(best), sum(best) + 1, math.inf]
+        for ub in ubs:
+            raw_hit = cost_bounded_hitting_vector(whole, ub)
+            kept_hit = cost_bounded_hitting_vector(filtered, ub)
+            assert (raw_hit is None) == (kept_hit is None)
+            if raw_hit is not None:
+                assert hits(raw_hit, pool) and hits(kept_hit, pool)
         cut = rng.randint(0, len(pool))
         from_prefix = HittingProblem(levels, pool[:cut])
         from_prefix.add_cores(pool[cut:])
@@ -219,7 +255,9 @@ def test_add_cores_matches_fresh_build():
             one_by_one.add_cores([k])
         for grown in (from_prefix, one_by_one):
             assert grown.cores == whole.cores
-            assert grown.core_raisable == whole.core_raisable
+            assert grown.core_steps == whole.core_steps
+            assert grown.core_untouched == whole.core_untouched
+            assert grown.below == whole.below
             assert grown.saturated == whole.saturated
 
 
@@ -272,24 +310,21 @@ def test_floor_never_changes_an_answer():
 
 
 def test_prefix_search_finds_the_cheapest_extension():
-    """Under a prefix, with the cores it leaves unhit and no early stop,
-    the search returns the cheapest hitter that starts with the prefix,
-    checked by enumeration, or None when no hitter does."""
+    """Under a prefix and with no early stop, the search returns the
+    cheapest hitter that starts with the prefix, checked by enumeration,
+    or None when no hitter does."""
     rng = random.Random(5150)
     found = missing = 0
     for _ in range(300):
         levels, pool = _random_growing_pool(rng, saturated_ok=False)
         p = HittingProblem(levels, pool)
         prefix = tuple(rng.randrange(len(ls)) for ls in levels[: rng.randint(0, p.m)])
-        live = [
-            ci for ci, k in enumerate(p.cores) if all(t <= k[i] for i, t in enumerate(prefix))
-        ]
         extensions = [
             sum(ls[i] for ls, i in zip(levels, idx))
             for idx in itertools.product(*(range(len(ls)) for ls in levels))
             if idx[: len(prefix)] == prefix and hits(p.vector_at(idx), pool)
         ]
-        got = _branch_search(p, math.inf, -math.inf, None, prefix, live)
+        got = _branch_search(p, math.inf, -math.inf, None, prefix)
         if not extensions:
             assert got is None
             missing += 1
@@ -310,12 +345,16 @@ def _frame_depth() -> int:
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
-    """300 cores, each raisable only on its own component, force one raise
-    per component: the search tree is 300 levels deep."""
-    m = 300
+    """990 cores, each raisable only on its own component, force one raise
+    per component: the search tree is 990 levels deep. Building the
+    problem costs O(m * levels) per core, so the build takes a fraction of
+    a second; a pairwise dominance scan over the pool took half a minute."""
+    m = 990
     levels = [(0, 1)] * m
     pool = [tuple(0 if j == i else 1 for j in range(m)) for i in range(m)]
+    start = time.process_time()
     p = HittingProblem(levels, pool)
+    assert time.process_time() - start < 10
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)
     try:

@@ -1,19 +1,27 @@
 """Pinned bound traces of the deterministic strategies on generated instances.
 
 The fig1 goldens pin traces on a two-function instance; these pin them on
-instances big enough that the hitting search meets ties, dominated cores
-and repeated lower bounds. A digest covers the (kind, value, source) of
-every trace event plus the per-worker iteration counts, the same payload
-the benchmark digests. A change that keeps the hitting contract (same
-optimal cost, same lexicographic tie-break, same kept-core order) keeps
-every digest. The "+seed" runs pre-fill the pool with seed_disjoint, so
-they also pin the bounds that seeding and its core growth offer.
+instances big enough that the hitting search meets ties among optimal
+hitters and repeated lower bounds. A digest covers the (kind, value,
+source) of every trace event plus the per-worker iteration counts, the
+same payload the benchmark digests. A change that keeps the hitting
+contract (same optimal cost, same lexicographic tie-break, same core
+order) keeps every digest. The "+seed" runs pre-fill the pool with
+seed_disjoint, so they also pin the bounds that seeding and its core
+growth offer.
+
+The node counts pin the work of the hitting search: the number of
+branch-and-bound nodes entered over the whole solve, summed over every
+min-cost, lex-min and bounded search. A change that keeps the branching
+order, the fewest-options pick and the packing bound keeps every count,
+whatever the host's speed does.
 """
 
 import hashlib
 
 import pytest
 
+import hswcsp.hitting as hitting
 from hswcsp import OPTIMAL, generate, hs_lb, hs_lub, hs_ub
 
 INSTANCES = {
@@ -61,3 +69,41 @@ def test_trace_digest_pinned(instance, strategy, optimum, digest):
     r = STRATEGIES[strategy](generate(**INSTANCES[instance]))
     assert r.status == OPTIMAL and r.optimum == optimum
     assert trace_digest(r) == digest
+
+
+NODES = {
+    ("soft", "hs_lb"): 676,
+    ("soft", "hs_ub"): 268,
+    ("soft", "hs_lub_det"): 475,
+    ("hard", "hs_lb"): 970,
+    ("hard", "hs_ub"): 196,
+    ("hard", "hs_lub_det"): 450,
+    ("soft", "hs_lb+seed"): 329,
+    ("soft", "hs_ub+seed"): 194,
+    ("soft", "hs_lub_det+seed"): 256,
+    ("hard", "hs_lb+seed"): 1279,
+    ("hard", "hs_ub+seed"): 453,
+    ("hard", "hs_lub_det+seed"): 527,
+}
+
+
+@pytest.mark.parametrize("instance, strategy", list(NODES))
+def test_search_node_count_pinned(monkeypatch, instance, strategy):
+    # every search node polls once, so counting polls counts nodes
+    nodes = 0
+    make_poll = hitting._make_stop_poll
+
+    def counting(should_stop):
+        poll = make_poll(should_stop)
+
+        def counted():
+            nonlocal nodes
+            nodes += 1
+            poll()
+
+        return counted
+
+    monkeypatch.setattr(hitting, "_make_stop_poll", counting)
+    r = STRATEGIES[strategy](generate(**INSTANCES[instance]))
+    assert r.status == OPTIMAL
+    assert nodes == NODES[instance, strategy]
