@@ -143,7 +143,10 @@ class CdclSolver:
         self.reason[v] = reason
         self.trail.append(lit)
 
-    def _backtrack(self, target: int) -> None:
+    def _backtrack(self, target: int, requeue: bool = True) -> None:
+        """Undo every level above target. Unassigned variables go back on
+        the decision heap unless requeue is False, which only the exit from
+        solve passes: the next solve builds a fresh heap."""
         if len(self.trail_lim) <= target:
             return  # keep qhead: level-0 enqueues may still await propagation
         while len(self.trail_lim) > target:
@@ -153,7 +156,8 @@ class CdclSolver:
                 self.polarity[v] = self.assigns[v]
                 self.assigns[v] = 0
                 self.reason[v] = None
-                heappush(self.order, (-self.activity[v], v))
+                if requeue:
+                    heappush(self.order, (-self.activity[v], v))
             del self.trail[bound:]
         self.qhead = min(self.qhead, len(self.trail))
 
@@ -406,7 +410,8 @@ class CdclSolver:
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(v if self.polarity[v] > 0 else -v, None)
         finally:
-            self._backtrack(0)  # every exit, an exception's too, leaves level 0
+            # every exit, an exception's too, leaves level 0
+            self._backtrack(0, requeue=False)
 
     def model_value(self, var: int) -> bool:
         return self.model[var] == 1

@@ -17,6 +17,19 @@ verdict as a bound: a raise that stays componentwise below it is UNSAT by
 implication and is applied without calling the oracle. Skipping such a
 probe changes nothing but the work done, because the skipped answer is
 the one the oracle would have given.
+
+With recall=True, a probe that this bound does not settle is first
+looked up in the oracle's memory of the verdicts of every earlier query
+on it (`SatOracle.recall`), and reaches the backend only when no
+remembered solution fits under it and no remembered core dominates it.
+The answers are the same, so the raises, the grown core and the offered
+values are too. What changes is the work, and with it the models: a
+remembered witness stands in for a fresh one, and fewer queries leave
+the solver in another state. The workers' growth recalls, because its
+offers are probe vector costs, which depend only on SAT/UNSAT answers.
+Seeding does not: `seed_disjoint_cores` offers the evaluated total of
+its last SAT query's witness, which depends on the model the solver
+returns, so recall in its growth would change the bound it offers.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .model import SearchAborted, cost_of_vector
-from .sat_oracle import SatOracle
+from .sat_oracle import OracleVerdict, SatOracle
 
 __all__ = ["maximal_core"]
 
@@ -34,6 +47,7 @@ def maximal_core(
     h: Sequence[int],
     offer_ub: Callable[[int, tuple[int, ...]], object] | None = None,
     should_stop: Callable[[], bool] | None = None,
+    recall: bool = False,
 ) -> tuple[int, ...] | None:
     """Grow the core h until every single-component raise is satisfiable.
 
@@ -51,12 +65,20 @@ def maximal_core(
 
     Every SAT probe calls offer_ub(vector cost, witness) in probe order.
     A raise that the last UNSAT verdict's core dominates is applied
-    without a probe.
+    without a probe. With recall, a probe that the oracle's remembered
+    verdicts settle is answered from them instead of the backend.
     """
     w = oracle.w
     funcs = w.cost_functions
+
+    def ask(vector: list[int]) -> OracleVerdict:
+        verdict = oracle.recall(vector) if recall else None
+        if verdict is None:
+            verdict = oracle.solve_under_vector(vector, should_stop=should_stop)
+        return verdict
+
     v = list(w.validate_vector(h))
-    first = oracle.solve_under_vector(v, should_stop=should_stop)
+    first = ask(v)
     if first.satisfiable:
         if offer_ub is not None:
             offer_ub(cost_of_vector(v), first.witness)
@@ -81,7 +103,7 @@ def maximal_core(
             if raised > bound[i]:
                 probe = list(v)
                 probe[i] = raised
-                verdict = oracle.solve_under_vector(probe, should_stop=should_stop)
+                verdict = ask(probe)
                 if verdict.satisfiable:
                     settled[i] = True
                     if offer_ub is not None:

@@ -194,7 +194,9 @@ class _Worker:
             return _FINISHED
         self.iterations += 1
         offer_ub = partial(pool.offer_ub, source=self.source)
-        grown = maximal_core(self.oracle, h, offer_ub, should_stop=self.halt)
+        grown = maximal_core(
+            self.oracle, h, offer_ub, should_stop=self.halt, recall=True
+        )
         if grown is not None:
             pool.add_core(grown, self.source)
         return _CONTINUE

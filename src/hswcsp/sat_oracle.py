@@ -15,6 +15,20 @@ component with no failed selector goes to its maximum level. The failed
 selectors are a subset of the core's own assumptions, so the core is UNSAT,
 and every vector it dominates is UNSAT as well.
 
+The oracle remembers its verdicts. A SAT answer settles every vector that
+its witness's cost vector fits under, and an UNSAT answer every vector its
+core dominates, so `recall(v)` answers from that memory when it can,
+without the backend. The memory is two families of bitsets indexed like
+`HittingProblem.below`, by function i and level index t: bit s of
+`fits[i][t]` is set when remembered solution s costs at most levels[t] on
+function i, and bit k of `under[i][t]` when remembered core k is at least
+levels[t] there. The AND over i of the masks at v's level indices is the
+set of verdicts that settle v; the lowest set bit answers, so the answer
+is deterministic. Each distinct solution cost vector and each distinct
+core is remembered once. `solve_under_vector` records and never recalls:
+it always asks the backend, so its calls and the backend's match one to
+one.
+
 Backends are pluggable: anything with new_var/add_clause/model_value, a
 `conflict` list, and a solve that answers True or False or raises
 SearchAborted (the default CDCL solver, or the naive backtracking one kept
@@ -273,7 +287,7 @@ class SatOracle:
 
     Not thread-safe; build one per worker. The backend keeps learned
     clauses between calls, which is the whole point of the selector
-    scheme.
+    scheme, and the oracle keeps its verdicts for `recall`.
     """
 
     def __init__(self, w: Wcsp, backend: str | Callable[[], SatBackend] = "cdcl"):
@@ -287,6 +301,20 @@ class SatOracle:
             self.solver.add_clause(c)
         for c in self.encoding.guarded_clauses:
             self.solver.add_clause(c)
+        # verdict memory (see the module docstring)
+        self._level_index = [
+            {c: t for t, c in enumerate(f.levels)} for f in w.cost_functions
+        ]
+        self.fits: list[list[int]] = [
+            [0] * len(f.levels) for f in w.cost_functions
+        ]
+        self.under: list[list[int]] = [
+            [0] * len(f.levels) for f in w.cost_functions
+        ]
+        self.solutions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.cores: list[tuple[int, ...]] = []
+        # solution cost vectors and cores remembered; no vector is both
+        self._seen: set[tuple[int, ...]] = set()
 
     def _run(
         self, assumptions: list[int], should_stop: Callable[[], bool] | None
@@ -318,6 +346,60 @@ class SatOracle:
                 c > vi for c, vi in zip(ev.per_function, v)
             ):
                 raise RuntimeError("witness does not respect the queried bounds")
+            self._remember_solution(verdict.witness, tuple(ev.per_function))
         elif any(c < vi for c, vi in zip(verdict.core, v)):
             raise RuntimeError(f"core {verdict.core} does not dominate {tuple(v)}")
+        else:
+            self._remember_core(verdict.core)
         return verdict
+
+    def _remember_solution(
+        self, witness: tuple[int, ...], cost: tuple[int, ...]
+    ) -> None:
+        if cost in self._seen:
+            return
+        self._seen.add(cost)
+        bit = 1 << len(self.solutions)
+        self.solutions.append((witness, cost))
+        for row, index, c in zip(self.fits, self._level_index, cost):
+            for t in range(index[c], len(row)):
+                row[t] |= bit
+
+    def _remember_core(self, core: tuple[int, ...]) -> None:
+        if core in self._seen:
+            return
+        self._seen.add(core)
+        bit = 1 << len(self.cores)
+        self.cores.append(core)
+        for row, index, c in zip(self.under, self._level_index, core):
+            for t in range(index[c] + 1):
+                row[t] |= bit
+
+    def recall(self, v: Sequence[int]) -> OracleVerdict | None:
+        """A remembered verdict that settles v, or None: the earliest
+        remembered solution whose cost vector fits under v (SAT), else the
+        earliest remembered core that dominates v (UNSAT). Never calls the
+        backend."""
+        v = self.w.validate_vector(v)
+        ts = [index[c] for index, c in zip(self._level_index, v)]
+        fit = (1 << len(self.solutions)) - 1
+        for row, t in zip(self.fits, ts):
+            if not fit:
+                break
+            fit &= row[t]
+        if fit:
+            witness, cost = self.solutions[(fit & -fit).bit_length() - 1]
+            if any(c > vi for c, vi in zip(cost, v)):
+                raise RuntimeError(f"remembered solution {cost} does not fit {v}")
+            return OracleVerdict(True, witness, None)
+        over = (1 << len(self.cores)) - 1
+        for row, t in zip(self.under, ts):
+            if not over:
+                break
+            over &= row[t]
+        if over:
+            core = self.cores[(over & -over).bit_length() - 1]
+            if any(c < vi for c, vi in zip(core, v)):
+                raise RuntimeError(f"remembered core {core} does not dominate {v}")
+            return OracleVerdict(False, None, core)
+        return None

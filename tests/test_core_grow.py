@@ -124,9 +124,12 @@ class _Counting(SatOracle):
 
 
 def test_skipped_probes_do_not_change_growth(corpus):
-    """The naive backend blames every assumption, so growth over it probes
-    every raise; the CDCL backend's cores skip some. Both must grow every
-    start core into the same maximal core, with the same offers."""
+    """The naive backend blames every assumption, so growth over it without
+    recall probes every raise. CDCL growth skips the raises its cores
+    imply, and with recall also the probes its oracle's remembered
+    verdicts settle, from every earlier growth on the instance. All must
+    grow every start core into the same maximal core, with the same
+    offers; recall must not add oracle calls."""
     rng = random.Random(7)
     hard = [
         generate(seed=s, num_vars=5, max_dom=3, num_funcs=6, cost_range=5,
@@ -134,26 +137,44 @@ def test_skipped_probes_do_not_change_growth(corpus):
         for s in range(30)
     ]
     instances = [w for w, _ in corpus[:100]] + hard
-    grown_count = fewer = 0
+    grown_count = fewer = recalled = 0
     for w in instances:
         starts = [w.min_vector()] + [
             tuple(rng.choice(f.levels[:2]) for f in w.cost_functions)
             for _ in range(3)
         ]
+        # one oracle per instance, so growth can recall earlier verdicts
+        shared = {"cdcl": _Counting(w), "cdcl+recall": _Counting(w)}
         for start in starts:
             if SatOracle(w).solve_under_vector(start).satisfiable:
                 continue
-            runs = []
-            for backend in ("cdcl", "naive"):
-                oracle = _Counting(w, backend)
+            runs = {}
+            for name, backend, recall in (
+                ("cdcl", "cdcl", False),
+                ("cdcl+recall", "cdcl", True),
+                ("naive", "naive", False),
+            ):
+                oracle = shared.get(name) or _Counting(w, backend)
+                before = oracle.calls
                 offers = []
-                core = maximal_core(oracle, start, lambda v, _: offers.append(v))
-                runs.append((core, offers, oracle.calls))
-            (cdcl_core, cdcl_offers, cdcl_calls), (core, offers, calls) = runs
-            assert cdcl_core == core
-            assert cdcl_offers == offers
-            assert cdcl_calls <= calls
-            fewer += cdcl_calls < calls
+
+                def offer(value, witness, w=w, offers=offers):
+                    ev = w.evaluate(witness)
+                    assert ev.feasible and ev.total <= value
+                    offers.append(value)
+
+                core = maximal_core(oracle, start, offer, recall=recall)
+                runs[name] = (core, offers, oracle.calls - before)
+            core, offers, naive_calls = runs.pop("naive")
+            for other_core, other_offers, other_calls in runs.values():
+                assert other_core == core
+                assert other_offers == offers
+                assert other_calls <= naive_calls
+            plain_calls, recall_calls = runs["cdcl"][2], runs["cdcl+recall"][2]
+            assert recall_calls <= plain_calls
+            fewer += recall_calls < naive_calls
+            recalled += recall_calls < plain_calls
             grown_count += 1
     assert grown_count >= 100
     assert 2 * fewer >= grown_count
+    assert 2 * recalled >= grown_count

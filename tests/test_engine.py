@@ -188,6 +188,38 @@ def test_seeding_stops_at_a_sat_first_probe():
     assert pool.cores == [] and pool.lb == 0 and pool.ub == 0
 
 
+def test_only_the_workers_growth_recalls(monkeypatch):
+    """Seeding's offers depend on the models the solver returns, so its
+    growth must not consult the oracle's memory; the workers' growth
+    does."""
+    w = generate(seed=4, num_vars=16, max_dom=3, num_funcs=20, cost_range=2,
+                 hard_density=0.2)
+    seeding = False
+    recalls = 0
+    recall = SatOracle.recall
+    seed = engine_mod.seed_disjoint_cores
+
+    def counting_recall(self, v):
+        nonlocal recalls
+        assert not seeding, "seeding consulted the verdict memory"
+        recalls += 1
+        return recall(self, v)
+
+    def flagged_seed(*args, **kwargs):
+        nonlocal seeding
+        seeding = True
+        try:
+            return seed(*args, **kwargs)
+        finally:
+            seeding = False
+
+    monkeypatch.setattr(SatOracle, "recall", counting_recall)
+    monkeypatch.setattr(engine_mod, "seed_disjoint_cores", flagged_seed)
+    r = hs_lub(w, deterministic=True, seed_disjoint=True)
+    assert r.status == OPTIMAL
+    assert recalls > 0
+
+
 def test_seeded_hs_ub_raises_lb_only_through_seeding(two_blocks):
     r = hs_ub(two_blocks, seed_disjoint=True)
     assert r.status == OPTIMAL and r.optimum == 8

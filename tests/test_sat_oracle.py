@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from hswcsp import (
     SearchAborted,
     Wcsp,
     generate,
+    leq,
 )
 from hswcsp.bruteforce import vector_is_solution
 from hswcsp.cdcl import CdclSolver
@@ -126,6 +128,85 @@ def test_differential_small_corpus():
     assert checked >= 150
 
 
+def _linear_recall(oracle, v):
+    """What recall must answer, by a scan over the remembered verdicts."""
+    for witness, cost in oracle.solutions:
+        if leq(cost, v):
+            return OracleVerdict(True, witness, None)
+    for core in oracle.cores:
+        if leq(v, core):
+            return OracleVerdict(False, None, core)
+    return None
+
+
+def test_recall_agrees_with_a_fresh_oracle():
+    """Random query sequences: every remembered answer is right, and recall
+    answers exactly when a scan over the remembered verdicts does."""
+    rng = random.Random(11)
+    answered = sat = unsat = 0
+    for seed in range(40):
+        w = generate(
+            seed=seed,
+            num_vars=3 + seed % 3,
+            max_dom=2 + seed % 2,
+            num_funcs=2 + seed % 4,
+            cost_range=5,
+            hard_density=0.3 if seed % 2 else 0.0,
+        )
+        oracle = SatOracle(w)
+        for _ in range(30):
+            v = tuple(rng.choice(f.levels) for f in w.cost_functions)
+            verdict = oracle.recall(v)
+            assert verdict == _linear_recall(oracle, v)
+            if verdict is not None:
+                answered += 1
+                assert verdict.satisfiable == vector_is_solution(w, v)
+                if verdict.satisfiable:
+                    sat += 1
+                    ev = w.evaluate(verdict.witness)
+                    assert ev.feasible and leq(ev.per_function, v)
+                else:
+                    unsat += 1
+                    assert leq(v, verdict.core)
+                    assert not SatOracle(w).solve_under_vector(verdict.core).satisfiable
+            if rng.random() < 0.5:
+                oracle.solve_under_vector(v)
+        # each distinct solution cost vector and core is remembered once
+        costs = [cost for _, cost in oracle.solutions]
+        assert len(set(costs)) == len(costs)
+        assert len(set(oracle.cores)) == len(oracle.cores)
+        assert not set(costs) & set(oracle.cores)
+    assert sat >= 300 and unsat >= 100 and answered >= 600
+
+
+def test_recall_masks_match_their_definition():
+    w = generate(seed=3, num_vars=5, max_dom=3, num_funcs=6, cost_range=5,
+                 hard_density=0.2)
+    oracle = SatOracle(w)
+    rng = random.Random(5)
+    for _ in range(40):
+        oracle.solve_under_vector(tuple(rng.choice(f.levels) for f in w.cost_functions))
+    assert oracle.solutions and oracle.cores
+    for i, f in enumerate(w.cost_functions):
+        for t, level in enumerate(f.levels):
+            fits = sum(1 << s for s, (_, cost) in enumerate(oracle.solutions)
+                       if cost[i] <= level)
+            under = sum(1 << k for k, core in enumerate(oracle.cores)
+                        if core[i] >= level)
+            assert oracle.fits[i][t] == fits
+            assert oracle.under[i][t] == under
+
+
+def test_recall_never_calls_the_backend(fig1):
+    oracle = SatOracle(fig1)
+    oracle.solve_under_vector((20, 5))
+    oracle.solve_under_vector((5, 5))
+    oracle.solver = None  # any backend call would now fail
+    assert oracle.recall((20, 20)).satisfiable
+    assert not oracle.recall((0, 5)).satisfiable
+    assert oracle.recall((5, 20)) is None
+
+
 # --- checks that raise real exceptions (kept under python -O) ---
 
 
@@ -182,6 +263,26 @@ def test_check_core_dominates_query(fig1):
     oracle = SatOracle(fig1, _blaming(enc.value_var[0][0]))
     with pytest.raises(RuntimeError, match="not a selector"):
         oracle.solve_under_vector((0, 0))
+
+
+def test_check_recalled_solution_fits(fig1):
+    oracle = SatOracle(fig1)
+    # (5, 5) is fig1's only maximal core, so this witness costs (20, <= 5)
+    assert oracle.solve_under_vector((20, 5)).satisfiable
+    assert oracle.recall((5, 20)) is None
+    oracle.fits[0][fig1.cost_functions[0].levels.index(5)] |= 1
+    with pytest.raises(RuntimeError, match="does not fit"):
+        oracle.recall((5, 20))
+
+
+def test_check_recalled_core_dominates(fig1):
+    oracle = SatOracle(fig1)
+    # the only core that dominates (5, 5) is (5, 5) itself
+    assert oracle.solve_under_vector((5, 5)).core == (5, 5)
+    assert oracle.recall((20, 5)) is None
+    oracle.under[0][fig1.cost_functions[0].levels.index(20)] |= 1
+    with pytest.raises(RuntimeError, match="does not dominate"):
+        oracle.recall((20, 5))
 
 
 def test_check_decode_one_hot(fig1):

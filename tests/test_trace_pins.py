@@ -15,12 +15,17 @@ branch-and-bound nodes entered over the whole solve, summed over every
 min-cost, lex-min and bounded search. A change that keeps the branching
 order, the fewest-options pick and the packing bound keeps every count,
 whatever the host's speed does.
+
+The CDCL call counts pin the work of the SAT side: the number of
+`CdclSolver.solve` calls over the whole solve, seeding's included. They
+move when core growth skips or recalls a different set of probes.
 """
 
 import hashlib
 
 import pytest
 
+import hswcsp.cdcl as cdcl
 import hswcsp.hitting as hitting
 from hswcsp import OPTIMAL, generate, hs_lb, hs_lub, hs_ub
 
@@ -107,3 +112,35 @@ def test_search_node_count_pinned(monkeypatch, instance, strategy):
     r = STRATEGIES[strategy](generate(**INSTANCES[instance]))
     assert r.status == OPTIMAL
     assert nodes == NODES[instance, strategy]
+
+
+CDCL_CALLS = {
+    ("soft", "hs_lb"): 60,
+    ("soft", "hs_ub"): 50,
+    ("soft", "hs_lub_det"): 58,
+    ("hard", "hs_lb"): 108,
+    ("hard", "hs_ub"): 72,
+    ("hard", "hs_lub_det"): 92,
+    ("soft", "hs_lb+seed"): 65,
+    ("soft", "hs_ub+seed"): 60,
+    ("soft", "hs_lub_det+seed"): 68,
+    ("hard", "hs_lb+seed"): 102,
+    ("hard", "hs_ub+seed"): 74,
+    ("hard", "hs_lub_det+seed"): 83,
+}
+
+
+@pytest.mark.parametrize("instance, strategy", list(CDCL_CALLS))
+def test_cdcl_call_count_pinned(monkeypatch, instance, strategy):
+    calls = 0
+    solve = cdcl.CdclSolver.solve
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(cdcl.CdclSolver, "solve", counted)
+    r = STRATEGIES[strategy](generate(**INSTANCES[instance]))
+    assert r.status == OPTIMAL
+    assert calls == CDCL_CALLS[instance, strategy]
