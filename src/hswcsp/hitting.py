@@ -16,9 +16,12 @@ A dominated core (componentwise <= another) would be redundant, not
 wrong: every vector that hits the dominating core hits it too, so it
 changes no hitting cost; and the engine never pools one, because grown
 cores are maximal. Because cores are only ever added, the minimum
-hitting cost only rises, so the problem keeps the last optimum it proved
-as a floor; the next cost search stops at the first hitter costing no
-more than the floor, which is then optimal.
+hitting cost only rises, so the problem keeps a floor, a lower bound on
+it. The cost search deepens from the floor (IDA*, Korf 1985): each try
+looks only for a hitter costing no more than the floor and stops at the
+first one, which is then optimal. A refuted try proves a higher floor,
+the least cost plus packing bound among the nodes it pruned, and the next
+try starts from there.
 
 The tie-break among optimal hitters (lexicographically least level-index
 tuple) is a separate pass. It fixes components left to right at the lowest
@@ -30,8 +33,11 @@ witness. A check is the same branch-and-bound search, run on the same
 persistent problem with the prefix fixed; no reduced problem is built.
 
 A search node keeps the cores its vector leaves unhit as one int, so it
-reads only those. The search keeps its nodes on an explicit stack, so a
-pool that forces one raise per component searches as deep as it needs to.
+reads only those. It prunes on a packing bound, the cheapest raises owed
+by unhit cores that share no raise option, packed once in kept order and,
+when that does not prune, once more dearest first. The search keeps its
+nodes on an explicit stack, so a pool that forces one raise per component
+searches as deep as it needs to.
 """
 
 from __future__ import annotations
@@ -67,9 +73,10 @@ class HittingProblem:
     costs O(m * levels).
 
     `floor` is a lower bound on the minimum hitting cost. It starts at the
-    sum of the minimum levels and min_cost_hitting_vector raises it to each
-    optimum it proves; adding cores can only raise the optimum, so the
-    floor stays a lower bound for the life of the problem.
+    sum of the minimum levels and min_cost_hitting_vector raises it to
+    each bound a refuted try proves, so an optimum it finds costs exactly
+    the floor; adding cores can only raise the optimum, so the floor stays
+    a lower bound for the life of the problem.
     """
 
     def __init__(
@@ -165,23 +172,51 @@ def _branch_search(
 ) -> tuple[int, tuple[int, ...]] | None:
     """Cheapest hitting vector with cost strictly below `bound`.
 
-    Returns (cost, level-index tuple) or None. The search stops early at
-    the first hitter costing at most `stop_at`: with stop_at = inf that is
-    the first hitter found; with stop_at a lower bound on the optimum
-    (the problem's floor) it is an optimal one. Branches on an unhit core
-    with the fewest raise options (the first such core in kept order),
-    cheapest increment first. Nodes carry a packing bound: cores whose
-    raise options are pairwise disjoint cannot share a raise, so their
-    cheapest raises are owed additively (and any single core's cheapest
-    raise is owed regardless).
+    Returns (cost, level-index tuple) or None: the hitter _branch_and_bound
+    finds, without the bound a refuted search proves.
+    """
+    return _branch_and_bound(p, bound, stop_at, should_stop, prefix)[0]
+
+
+def _branch_and_bound(
+    p: HittingProblem,
+    bound: float,
+    stop_at: float,
+    should_stop: Callable[[], bool] | None,
+    prefix: Sequence[int] = (),
+) -> tuple[tuple[int, tuple[int, ...]] | None, float]:
+    """Branch and bound for a hitting vector with cost strictly below `bound`.
+
+    Returns (found, least): found is (cost, level-index tuple) or None.
+    The search stops early at the first hitter costing at most `stop_at`:
+    with stop_at = inf that is the first hitter found; with stop_at a lower
+    bound on the optimum (the problem's floor) it is an optimal one.
+    Branches on an unhit core with the fewest raise options (the first
+    such core in kept order), cheapest increment first.
+
+    Nodes carry a packing bound: cores whose raise options are pairwise
+    disjoint cannot share a raise, so their cheapest raises are owed
+    additively. A node packs its unhit cores greedily in kept order; when
+    that does not prune it, it packs them again, largest cheapest
+    increment first (then fewest options, then kept order), and is pruned
+    on the larger of the two sums. The second packing starts with the
+    dearest single core, so it also owes what that core alone owes. Any
+    packing is a valid bound, so a pruned subtree holds no hitter cheaper
+    than `bound` or the incumbent: the bound changes which nodes are
+    visited, never the order of the visited ones or the hitter returned.
+
+    When found is None, `least` is the least cost plus bound over the
+    nodes pruned for cost (inf if none was): every hitter lies under some
+    pruned node, so no hitter costs less than `least`, which is at least
+    `bound`. min_cost_hitting_vector deepens its budget by it.
 
     The cores the current vector leaves unhit are one int, bit ci for
     core ci. A child that raises component i to level index t clears
     `p.below[i][t]` from it and the parent restores it when resumed, so a
     node reads only unhit cores, walking their bits in ascending order,
-    which is kept order; the packing bound depends on that order. A core
-    none of whose raisable components has been raised or capped yet has
-    the options in `p.core_untouched`; only the others are recounted.
+    which is kept order. A core none of whose raisable components has been
+    raised or capped yet has the options in `p.core_untouched`; only the
+    others are recounted.
 
     With a `prefix` the search covers only vectors that start with it: the
     prefix components start and are capped at its levels, so only the
@@ -205,22 +240,25 @@ def _branch_search(
         unhit &= ~below[i][t]
     best = bound
     best_vec: tuple[int, ...] | None = None
+    least = math.inf
     poll = _make_stop_poll(should_stop)
     returned = False  # the result of the node that returned last
     untouched = p.core_untouched
     touched = (1 << len(prefix)) - 1  # bit i: v[i] or caps[i] left its root default
 
     def node(cost: int) -> Iterator[int]:
-        nonlocal best, best_vec, returned, unhit, touched
+        nonlocal best, best_vec, returned, unhit, touched, least
         poll()
         if cost >= best:
+            if cost < least:
+                least = cost
             returned = False
             return
         pick = -1
         pick_n = 0
-        owed = 0  # additive packing bound over claimed components
-        single = 0
+        owed = 0  # additive packing bound, kept order
         packed = 0
+        cands = []  # (-cheapest, options, ci, mask) of each unhit core
         rest = unhit
         while rest:
             low = rest & -rest
@@ -241,11 +279,10 @@ def _branch_search(
             if not n:
                 returned = False  # nothing can hit this core under the caps
                 return
-            if cheapest > single:
-                single = cheapest
             if not mask & packed:
                 owed += cheapest
                 packed |= mask
+            cands.append((-cheapest, n, ci, mask))
             if pick < 0 or n < pick_n:
                 pick, pick_n = ci, n
         if pick < 0:
@@ -253,7 +290,20 @@ def _branch_search(
             best_vec = tuple(v)
             returned = True
             return
-        if cost + (owed if owed > single else single) >= best:
+        if cost + owed < best:
+            cands.sort()
+            dearest = 0  # additive packing bound, dearest core first
+            packed = 0
+            for neg, _, _, mask in cands:
+                if not mask & packed:
+                    dearest -= neg
+                    packed |= mask
+            if dearest > owed:
+                owed = dearest
+        del cands  # the list is dead; free it before the node yields
+        if cost + owed >= best:
+            if cost + owed < least:
+                least = cost + owed
             returned = False
             return
         opts = [(lv - val[i], i, t, lv) for i, t, lv, _ in steps[pick] if t <= caps[i]]
@@ -288,8 +338,8 @@ def _branch_search(
         else:
             stack.append(node(child))
     if best_vec is None:
-        return None
-    return int(best), best_vec
+        return None, least
+    return (int(best), best_vec), least
 
 
 def _lex_min_at_cost(
@@ -337,18 +387,27 @@ def min_cost_hitting_vector(
     Ties go to the lexicographically smallest level-index tuple. With
     `prune_at` set, returns None as soon as it is proven that no hitting
     vector costs strictly less than it. Raises PoolSaturatedError when no
-    hitting vector exists at all. The search stops at the first hitter
-    costing `p.floor`, and the optimum it proves becomes the new floor.
+    hitting vector exists at all.
+
+    The cost search deepens iteratively from `p.floor`. Each try searches
+    for a hitter costing at most the floor and stops at the first one,
+    which is optimal because the floor is a lower bound. A refuted try
+    proves that no hitter costs less than the least cost plus packing
+    bound among the nodes it pruned, which is above the floor, so that
+    becomes the floor and the next try's budget. The tries end at a hitter
+    or once the floor reaches `prune_at`. The optimal hitter found is the
+    witness of the lex-min pass, which returns the unique lex-min hitter
+    whichever optimal witness it starts from.
     """
     if p.saturated:
         raise PoolSaturatedError("a pooled core sits at every maximum level")
     bound = math.inf if prune_at is None else prune_at
-    found = _branch_search(p, bound, p.floor, should_stop)
-    if found is None:
-        return None
-    cost, witness = found
-    p.floor = cost
-    return p.vector_at(_lex_min_at_cost(p, cost, should_stop, witness))
+    while p.floor < bound:
+        found, least = _branch_and_bound(p, min(p.floor + 1, bound), p.floor, should_stop)
+        if found is not None:
+            return p.vector_at(_lex_min_at_cost(p, p.floor, should_stop, found[1]))
+        p.floor = least
+    return None
 
 
 def cost_bounded_hitting_vector(

@@ -1,0 +1,43 @@
+"""The CDCL solver's models stay whole when it restarts often.
+
+A restart backtracks to level 0 and must put every variable it unassigns
+back on the decision heap; one it left off would never be decided again,
+so a later SAT answer could leave it unassigned or report a model that
+breaks a clause. A restart base of 2 makes the Luby schedule restart after
+every few conflicts, and random 3-SAT at a clause/variable ratio of 4.2,
+near the satisfiability threshold, gives the conflicts.
+"""
+
+import random
+
+from hswcsp.cdcl import CdclSolver
+
+
+def test_models_are_total_and_satisfying_under_frequent_restarts():
+    rng = random.Random(7300)
+    nvars, nclauses = 40, 168
+    sat = 0
+    for _ in range(300):
+        clauses = [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
+            for _ in range(nclauses)
+        ]
+        solver = CdclSolver()
+        solver.RESTART_BASE = 2
+        for _ in range(nvars):
+            solver.new_var()
+        for c in clauses:
+            solver.add_clause(c)
+        for _ in range(5):
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, nvars + 1), rng.randint(0, 6))
+            ]
+            if not solver.solve(assumptions):
+                continue
+            sat += 1
+            model = solver.model
+            assert all(model[v] != 0 for v in range(1, nvars + 1))
+            assert all(any(model[abs(lit)] == (1 if lit > 0 else -1) for lit in c) for c in clauses)
+            assert all(model[abs(lit)] == (1 if lit > 0 else -1) for lit in assumptions)
+    assert sat > 300

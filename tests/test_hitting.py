@@ -17,7 +17,7 @@ from hswcsp import (
     hits,
     min_cost_hitting_vector,
 )
-from hswcsp.hitting import _branch_search, _lex_min_at_cost
+from hswcsp.hitting import _branch_and_bound, _branch_search, _lex_min_at_cost
 
 FIG1_LEVELS = [(0, 5, 20), (0, 5, 20)]
 
@@ -307,6 +307,87 @@ def test_floor_never_changes_an_answer():
     # the search's first optimal hitter is often not the lex-min one, so
     # the witness-guided pass really does replace witnesses
     assert witness_replaced > 30
+
+
+def _reference_first_hitter(levels, cores, ub) -> tuple[int, ...] | None:
+    """First hitter costing less than ub in the search's visiting order.
+
+    A plain recursive DFS over level indices with the search's pick (the
+    unhit core with the fewest raise options under the caps, the first in
+    kept order), its child order (cheapest increment, then component) and
+    its sibling caps, but no packing bound: it only stops descending below
+    a vector that already costs ub or more.
+    """
+    m = len(levels)
+    v = [0] * m
+    caps = [len(ls) - 1 for ls in levels]
+
+    def dfs() -> tuple[int, ...] | None:
+        if sum(ls[t] for ls, t in zip(levels, v)) >= ub:
+            return None
+        unhit = [k for k in cores if all(v[i] <= k[i] for i in range(m))]
+        if not unhit:
+            return tuple(v)
+        options = [[i for i in range(m) if k[i] < caps[i]] for k in unhit]
+        if not all(options):
+            return None
+        k, raisable = min(zip(unhit, options), key=lambda ko: len(ko[1]))
+        saved = caps[:]
+        found = None
+        for _, i in sorted((levels[i][k[i] + 1] - levels[i][v[i]], i) for i in raisable):
+            old, v[i] = v[i], k[i] + 1
+            found = dfs()
+            v[i] = old
+            if found is not None:
+                break
+            caps[i] = k[i]
+        caps[:] = saved
+        return found
+
+    return dfs()
+
+
+def test_bounded_search_returns_the_reference_first_hitter():
+    """The packing bounds only cut subtrees that hold no hitter below the
+    budget, so the bounded search returns exactly the first hitter of a
+    DFS that has no packing bound, pool by pool as the pool grows."""
+    rng = random.Random(8080)
+    hitters = 0
+    for _ in range(150):
+        levels, pool = _random_growing_pool(rng, saturated_ok=False)
+        p = HittingProblem(levels)
+        for n, core in enumerate(pool, 1):
+            p.add_cores([core])
+            best = sum(exhaustive_mhv(levels, pool[:n]))
+            for ub in (best, best + 1, math.inf):
+                expected = _reference_first_hitter(levels, p.cores, ub)
+                got = cost_bounded_hitting_vector(p, ub)
+                if expected is None:
+                    assert got is None
+                else:
+                    assert got == p.vector_at(expected)
+                    hitters += 1
+    assert hitters > 1200
+
+
+def test_refuted_search_proves_a_bound_above_its_budget():
+    """A search refuted at budget c (no hitter costing c or less) reports
+    a least pruned cost plus bound t with c < t <= the optimum, and the
+    search at the optimum finds an optimal hitter."""
+    rng = random.Random(6061)
+    refuted = 0
+    for _ in range(150):
+        levels, pool = _random_growing_pool(rng, saturated_ok=False)
+        p = HittingProblem(levels, pool)
+        best = sum(exhaustive_mhv(levels, pool))
+        for c in range(p.min_cost(), best):
+            found, t = _branch_and_bound(p, c + 1, c, None)
+            assert found is None
+            assert c < t <= best
+            refuted += 1
+        found, _ = _branch_and_bound(p, best + 1, best, None)
+        assert found is not None and found[0] == best
+    assert refuted > 500
 
 
 def test_prefix_search_finds_the_cheapest_extension():

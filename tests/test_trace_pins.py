@@ -12,22 +12,35 @@ growth offer.
 
 The node counts pin the work of the hitting search: the number of
 branch-and-bound nodes entered over the whole solve, summed over every
-min-cost, lex-min and bounded search. A change that keeps the branching
-order, the fewest-options pick and the packing bound keeps every count,
-whatever the host's speed does.
+min-cost, lex-min and bounded search. They move with any change to the
+branching order, the pruning bounds or the budgets of the min-cost
+search's iterative deepening, even one that keeps every digest; a tighter
+bound may only lower them.
 
 The CDCL call counts pin the work of the SAT side: the number of
 `CdclSolver.solve` calls over the whole solve, seeding's included. They
 move when core growth skips or recalls a different set of probes.
+
+To re-pin, run this file as a script from the repository root:
+
+    python3 tests/test_trace_pins.py
+
+It solves every pinned case once and prints PINNED, NODES and CDCL_CALLS
+in this file's format, ready to paste over the tables below.
 """
 
 import hashlib
+import pathlib
+import sys
 
 import pytest
 
-import hswcsp.cdcl as cdcl
-import hswcsp.hitting as hitting
-from hswcsp import OPTIMAL, generate, hs_lb, hs_lub, hs_ub
+if __name__ == "__main__":
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+import hswcsp.cdcl as cdcl  # noqa: E402
+import hswcsp.hitting as hitting  # noqa: E402
+from hswcsp import OPTIMAL, generate, hs_lb, hs_lub, hs_ub  # noqa: E402
 
 INSTANCES = {
     "soft": dict(seed=2001, num_vars=16, max_dom=2, num_funcs=26, cost_range=4),
@@ -77,27 +90,29 @@ def test_trace_digest_pinned(instance, strategy, optimum, digest):
 
 
 NODES = {
-    ("soft", "hs_lb"): 676,
+    ("soft", "hs_lb"): 629,
     ("soft", "hs_ub"): 268,
-    ("soft", "hs_lub_det"): 475,
-    ("hard", "hs_lb"): 970,
-    ("hard", "hs_ub"): 196,
-    ("hard", "hs_lub_det"): 450,
-    ("soft", "hs_lb+seed"): 329,
+    ("soft", "hs_lub_det"): 453,
+    ("hard", "hs_lb"): 848,
+    ("hard", "hs_ub"): 190,
+    ("hard", "hs_lub_det"): 405,
+    ("soft", "hs_lb+seed"): 291,
     ("soft", "hs_ub+seed"): 194,
-    ("soft", "hs_lub_det+seed"): 256,
-    ("hard", "hs_lb+seed"): 1279,
-    ("hard", "hs_ub+seed"): 453,
-    ("hard", "hs_lub_det+seed"): 527,
+    ("soft", "hs_lub_det+seed"): 226,
+    ("hard", "hs_lb+seed"): 1178,
+    ("hard", "hs_ub+seed"): 219,
+    ("hard", "hs_lub_det+seed"): 460,
 }
 
 
-@pytest.mark.parametrize("instance, strategy", list(NODES))
-def test_search_node_count_pinned(monkeypatch, instance, strategy):
-    # every search node polls once, so counting polls counts nodes
-    nodes = 0
+def measured_solve(instance: str, strategy: str):
+    """Solve one pinned case; return the result, its search-node count and
+    its CDCL call count."""
+    nodes = calls = 0
     make_poll = hitting._make_stop_poll
+    solve = cdcl.CdclSolver.solve
 
+    # every search node polls once, so counting polls counts nodes
     def counting(should_stop):
         poll = make_poll(should_stop)
 
@@ -108,8 +123,21 @@ def test_search_node_count_pinned(monkeypatch, instance, strategy):
 
         return counted
 
-    monkeypatch.setattr(hitting, "_make_stop_poll", counting)
-    r = STRATEGIES[strategy](generate(**INSTANCES[instance]))
+    def counted_solve(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hitting, "_make_stop_poll", counting)
+        mp.setattr(cdcl.CdclSolver, "solve", counted_solve)
+        r = STRATEGIES[strategy](generate(**INSTANCES[instance]))
+    return r, nodes, calls
+
+
+@pytest.mark.parametrize("instance, strategy", list(NODES))
+def test_search_node_count_pinned(instance, strategy):
+    r, nodes, _ = measured_solve(instance, strategy)
     assert r.status == OPTIMAL
     assert nodes == NODES[instance, strategy]
 
@@ -131,16 +159,32 @@ CDCL_CALLS = {
 
 
 @pytest.mark.parametrize("instance, strategy", list(CDCL_CALLS))
-def test_cdcl_call_count_pinned(monkeypatch, instance, strategy):
-    calls = 0
-    solve = cdcl.CdclSolver.solve
-
-    def counted(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return solve(self, *args, **kwargs)
-
-    monkeypatch.setattr(cdcl.CdclSolver, "solve", counted)
-    r = STRATEGIES[strategy](generate(**INSTANCES[instance]))
+def test_cdcl_call_count_pinned(instance, strategy):
+    r, _, calls = measured_solve(instance, strategy)
     assert r.status == OPTIMAL
     assert calls == CDCL_CALLS[instance, strategy]
+
+
+def print_pins() -> None:
+    """Print PINNED, NODES and CDCL_CALLS as measured on this tree."""
+    rows, nodes, calls = [], {}, {}
+    for instance, strategy, _, _ in PINNED:
+        r, nodes[instance, strategy], calls[instance, strategy] = measured_solve(
+            instance, strategy
+        )
+        if r.status != OPTIMAL:
+            raise SystemExit(f"{instance} {strategy}: status {r.status}, not OPTIMAL")
+        rows.append((instance, strategy, r.optimum, trace_digest(r)))
+    print("PINNED = [")
+    for row in rows:
+        print(f"    {row!r},".replace("'", '"'))
+    print("]")
+    for name, table in (("NODES", nodes), ("CDCL_CALLS", calls)):
+        print(f"\n{name} = {{")
+        for key, count in table.items():
+            print(f"    {key!r}: {count},".replace("'", '"'))
+        print("}")
+
+
+if __name__ == "__main__":
+    print_pins()
