@@ -1,18 +1,29 @@
 """Batch command line: solve instances, generate them, cross-check solvers.
 
 Exit codes: 0 success (OPTIMAL for solve, agreement for verify), 1 usage or
-input error, 2 solve timed out, 3 instance infeasible, 4 verify found the
-solvers and the exhaustive oracle disagreeing.
+input error, 2 solve timed out or was interrupted (Ctrl-C), 3 instance
+infeasible, 4 verify found the solvers and the exhaustive oracle
+disagreeing.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Callable, Sequence
 
 from .bruteforce import generate, optimal_cost
-from .engine import INFEASIBLE, OPTIMAL, SolveResult, hs_lb, hs_lub, hs_ub
+from .engine import (
+    INFEASIBLE,
+    OPTIMAL,
+    TIMEOUT,
+    CorePool,
+    SolveResult,
+    hs_lb,
+    hs_lub,
+    hs_ub,
+)
 from .model import INF, Wcsp
 from .wcsp_io import ParseError, TraceWriter, parse_wcsp_file, wcsp_to_text
 
@@ -55,7 +66,8 @@ def _build_parser() -> _Parser:
     solve.add_argument("--trace", default=None, metavar="FILE",
                        help="write the bound trace as CSV")
     solve.add_argument("--deterministic", action="store_true",
-                       help="single-thread round-robin instead of threads")
+                       help="accepted and ignored; every solve is a "
+                       "single-thread round-robin")
 
     gen = sub.add_parser("gen", help="generate a random .wcsp instance")
     gen.add_argument("--seed", type=int, default=0)
@@ -97,6 +109,7 @@ def cmd_solve(args: argparse.Namespace, invocation: str) -> int:
 
     trace_file = None
     sink: Callable | None = None
+    pool = CorePool()
     try:
         if args.trace is not None:
             trace_file = open(args.trace, "w")
@@ -105,7 +118,23 @@ def cmd_solve(args: argparse.Namespace, invocation: str) -> int:
                 comments=[f"invocation: {invocation}", f"instance: {w.name}"],
             )
             sink = writer.write
-        result = _dispatch_solve(w, args, sink)
+        t0 = time.monotonic()
+        try:
+            result = _dispatch_solve(w, args, sink, pool)
+        except KeyboardInterrupt:
+            # Ctrl-C: the pool still holds certified bounds, so report them
+            lb, ub = pool.bounds()
+            result = SolveResult(
+                status=TIMEOUT,
+                optimum=None,
+                lb=lb,
+                ub=ub,
+                witness=pool.best_witness,
+                cores_used=len(pool.cores),
+                iterations={},
+                wall_ms=(time.monotonic() - t0) * 1000,
+                trace=(),
+            )
     finally:
         if trace_file is not None:
             trace_file.close()
@@ -124,20 +153,13 @@ def cmd_solve(args: argparse.Namespace, invocation: str) -> int:
     }.get(result.status, _EXIT_TIMEOUT)
 
 
-def _dispatch_solve(w: Wcsp, args: argparse.Namespace, sink) -> SolveResult:
-    if args.alg == "lb":
-        return hs_lb(
-            w, time_limit=args.time_limit, seed_disjoint=args.seed_disjoint,
-            trace=sink,
-        )
-    if args.alg == "ub":
-        return hs_ub(
-            w, time_limit=args.time_limit, seed_disjoint=args.seed_disjoint,
-            trace=sink,
-        )
-    return hs_lub(
-        w, time_limit=args.time_limit, seed_disjoint=args.seed_disjoint,
-        trace=sink, deterministic=args.deterministic,
+def _dispatch_solve(
+    w: Wcsp, args: argparse.Namespace, sink, pool: CorePool
+) -> SolveResult:
+    solver = {"lb": hs_lb, "ub": hs_ub, "lub": hs_lub}[args.alg]
+    return solver(
+        w, pool=pool, time_limit=args.time_limit,
+        seed_disjoint=args.seed_disjoint, trace=sink,
     )
 
 

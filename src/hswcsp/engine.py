@@ -4,19 +4,20 @@ Three entry points. hs_lb repeatedly takes a minimum-cost hitting vector
 of the pool (its cost is a lower bound), asks the oracle, and either
 records a solution or grows and pools a new core. hs_ub asks only for
 some hitting vector cheaper than the incumbent; when none exists the
-incumbent is proven optimal. hs_lub runs both loops over one pool, so
-each feeds on the other's cores and bounds.
+incumbent is proven optimal. hs_lub runs both loops over one pool as a
+single-thread round-robin, so each feeds on the other's cores and bounds.
+Every solve runs in one thread with one SAT oracle, so its trace is
+deterministic up to timestamps.
 
 Bounds and cores live in a CorePool guarded by one lock; every bound
 change is stamped into a trace. Long searches poll a halt predicate at
-node/conflict granularity, so time limits and cross-worker termination
-take effect mid-search.
+node/conflict granularity, so a time limit, or bounds that meet during
+core growth, take effect mid-search.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -323,47 +324,6 @@ def _run_alternating(workers: list[_Worker], halt: Callable[[], bool]) -> str | 
                 return outcome
 
 
-def _run_threaded(
-    workers: list[_Worker],
-    halt: Callable[[], bool],
-    stop_event: threading.Event,
-    jitter_seed: int | None,
-) -> tuple[str | None, list[tuple[str, BaseException]]]:
-    outcomes: dict[str, str] = {}
-    errors: list[tuple[str, BaseException]] = []
-
-    def run(worker: _Worker, rng: random.Random | None) -> None:
-        try:
-            while not halt():
-                if rng is not None:
-                    time.sleep(rng.random() * 1e-3)
-                outcome = worker.step()
-                if outcome != _CONTINUE:
-                    outcomes[worker.name] = outcome
-                    if outcome == _SATURATED:
-                        stop_event.set()
-                    return
-        except SearchAborted:
-            pass
-        except BaseException as exc:  # propagated to the caller after join
-            errors.append((worker.name, exc))
-            stop_event.set()
-
-    threads = []
-    for k, worker in enumerate(workers):
-        rng = random.Random(jitter_seed * 1021 + k) if jitter_seed is not None else None
-        t = threading.Thread(
-            target=run, args=(worker, rng), name=f"hs-{worker.name}", daemon=True
-        )
-        threads.append(t)
-        t.start()
-    for t in threads:
-        t.join()
-    if _SATURATED in outcomes.values():
-        return _SATURATED, errors
-    return None, errors
-
-
 def _solve(
     w: Wcsp,
     enable_lb: bool,
@@ -372,8 +332,6 @@ def _solve(
     time_limit: float | None,
     seed_disjoint: bool,
     trace: Callable[[TraceEvent], None] | None,
-    threaded: bool,
-    jitter_seed: int | None,
 ) -> SolveResult:
     if time_limit is not None and math.isnan(time_limit):
         raise ValueError("time_limit must be a number of seconds, got nan")
@@ -384,45 +342,30 @@ def _solve(
         pool = CorePool(recorder)
     else:
         pool.recorder = recorder
-    stop_event = threading.Event()
 
     def halt() -> bool:
         return (
-            stop_event.is_set()
-            or (deadline is not None and time.monotonic() >= deadline)
+            (deadline is not None and time.monotonic() >= deadline)
             or pool.lb >= pool.ub
         )
 
     workers: list[_Worker] = []
     infeasible = False
-    errors: list[tuple[str, BaseException]] = []
     try:
         if not halt():
-            shared_oracle = SatOracle(w)
-            if not shared_oracle.solve_csp(should_stop=halt).satisfiable:
+            oracle = SatOracle(w)
+            if not oracle.solve_csp(should_stop=halt).satisfiable:
                 infeasible = True
             else:
                 if seed_disjoint:
-                    seed_disjoint_cores(w, pool, shared_oracle, should_stop=halt)
+                    seed_disjoint_cores(w, pool, oracle, should_stop=halt)
                 if enable_lb:
-                    oracle = SatOracle(w) if threaded else shared_oracle
                     workers.append(_LbWorker(w, pool, oracle, halt))
                 if enable_ub:
-                    oracle = SatOracle(w) if threaded else shared_oracle
                     workers.append(_UbWorker(w, pool, oracle, halt))
-                if threaded:
-                    outcome, errors = _run_threaded(
-                        workers, halt, stop_event, jitter_seed
-                    )
-                else:
-                    outcome = _run_alternating(workers, halt)
-                if outcome == _SATURATED:
-                    infeasible = True
+                infeasible = _run_alternating(workers, halt) == _SATURATED
     except SearchAborted:
         pass
-
-    for name, exc in errors:
-        raise RuntimeError(f"{name} worker died: {exc!r}") from exc
 
     lb, ub = pool.bounds()
     if lb > ub:
@@ -455,10 +398,7 @@ def hs_lb(
     trace: Callable[[TraceEvent], None] | None = None,
 ) -> SolveResult:
     """Lower-bound-driven loop: optimal hitting vectors, rising lb."""
-    return _solve(
-        w, True, False, pool, time_limit, seed_disjoint, trace,
-        threaded=False, jitter_seed=None,
-    )
+    return _solve(w, True, False, pool, time_limit, seed_disjoint, trace)
 
 
 def hs_ub(
@@ -469,10 +409,7 @@ def hs_ub(
     trace: Callable[[TraceEvent], None] | None = None,
 ) -> SolveResult:
     """Upper-bound-driven loop: any hitting vector under the incumbent."""
-    return _solve(
-        w, False, True, pool, time_limit, seed_disjoint, trace,
-        threaded=False, jitter_seed=None,
-    )
+    return _solve(w, False, True, pool, time_limit, seed_disjoint, trace)
 
 
 def hs_lub(
@@ -482,17 +419,15 @@ def hs_lub(
     seed_disjoint: bool = False,
     trace: Callable[[TraceEvent], None] | None = None,
     deterministic: bool = False,
-    jitter_seed: int | None = None,
 ) -> SolveResult:
     """Both loops sharing one pool, each consuming the other's cores and
     bounds.
 
-    The two loops run in two threads, or, with deterministic, as a
-    single-thread round-robin with fixed tie-breaks. jitter_seed adds tiny
-    seeded sleeps at iteration boundaries of threaded runs to vary the
-    interleaving. One loop alone is hs_lb or hs_ub.
+    The loops take turns in one thread, one step each, with one SAT oracle
+    shared by seeding and both loops, so a run is deterministic. The paper
+    runs them as two threads; under the interpreter lock threads cannot run
+    in parallel, and the synergy comes from the shared pool, which the
+    round-robin keeps. deterministic is accepted for compatibility and has
+    no effect. One loop alone is hs_lb or hs_ub.
     """
-    return _solve(
-        w, True, True, pool, time_limit, seed_disjoint, trace,
-        threaded=not deterministic, jitter_seed=jitter_seed,
-    )
+    return _solve(w, True, True, pool, time_limit, seed_disjoint, trace)

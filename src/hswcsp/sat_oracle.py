@@ -285,9 +285,9 @@ _BACKENDS: dict[str, Callable[[], SatBackend]] = {
 class SatOracle:
     """An Encoding loaded into a backend, answering vector queries.
 
-    Not thread-safe; build one per worker. The backend keeps learned
-    clauses between calls, which is the whole point of the selector
-    scheme, and the oracle keeps its verdicts for `recall`.
+    Not thread-safe; build one per solve, shared by its loops. The
+    backend keeps learned clauses between calls, which is the whole point
+    of the selector scheme, and the oracle keeps its verdicts for `recall`.
     """
 
     def __init__(self, w: Wcsp, backend: str | Callable[[], SatBackend] = "cdcl"):

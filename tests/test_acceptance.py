@@ -39,7 +39,7 @@ def test_criterion_1_reference_instance(fig1):
     for name, alg in (
         ("hs_lb", hs_lb),
         ("hs_ub", hs_ub),
-        ("hs_lub", lambda w: hs_lub(w, deterministic=True)),
+        ("hs_lub", hs_lub),
     ):
         t0 = time.monotonic()
         r = alg(fig1)
@@ -64,7 +64,7 @@ def test_criterion_2_bounds_sandwich_the_optimum(corpus):
     t0 = time.monotonic()
     events = 0
     for w, ws in corpus:
-        for alg in (hs_lb, hs_ub, lambda x: hs_lub(x, deterministic=True)):
+        for alg in (hs_lb, hs_ub, hs_lub):
             r = alg(w)
             assert r.status == OPTIMAL and r.optimum == ws
             for e in r.trace:
@@ -86,11 +86,9 @@ def test_criterion_3_all_variants_agree(corpus):
     for w, ws in corpus:
         assert hs_lb(w).optimum == ws
         assert hs_ub(w).optimum == ws
-        runs += 2
-        for jitter in range(20):
-            r = hs_lub(w, time_limit=30, jitter_seed=jitter)
-            assert r.status == OPTIMAL and r.optimum == ws
-            runs += 1
+        r = hs_lub(w, time_limit=30)
+        assert r.status == OPTIMAL and r.optimum == ws
+        runs += 3
     dt = time.monotonic() - t0
     assert dt < 120
     print(f"criterion 3: PASS ({runs} solves agree on 200 instances, {dt:.1f}s < 120s)")
@@ -155,7 +153,7 @@ def test_criterion_6_bound_histories_are_monotone(corpus):
         runs = [
             hs_lb(w),
             hs_ub(w),
-            hs_lub(w, deterministic=True),
+            hs_lub(w),
             hs_ub(w, seed_disjoint=True),
         ]
         for pos, r in enumerate(runs):

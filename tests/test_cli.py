@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hswcsp import SolveResult, wcsp_to_text
+from hswcsp import SolveResult, maximal_core, wcsp_to_text
 from hswcsp.cli import main
 
 
@@ -97,6 +97,30 @@ def test_trace_file_written_even_on_timeout(fig1_path, tmp_path, capsys):
     lines = trace.read_text().strip().split("\n")
     assert lines[2] == "elapsed_ms,kind,value,source"
     assert len(lines) == 3  # nothing happened before the deadline
+
+
+def test_ctrl_c_reports_bounds_so_far(fig1_path, tmp_path, capsys, monkeypatch):
+    calls = 0
+
+    def interrupted_on_second_call(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 2:
+            raise KeyboardInterrupt
+        return maximal_core(*args, **kwargs)
+
+    monkeypatch.setattr("hswcsp.engine.maximal_core", interrupted_on_second_call)
+    trace = tmp_path / "t.csv"
+    code, out, err = run(
+        capsys, "solve", fig1_path, "--alg", "lub", "--trace", str(trace)
+    )
+    assert code == 2 and err == ""
+    lines = out.strip().split("\n")
+    assert lines[0] == "TIMEOUT"
+    # the lb loop's growth found UB 25 and one core; the ub loop's was cut
+    assert re.fullmatch(r"STATUS TIMEOUT LB 0 UB 25 CORES 1 TIME_MS \d+", lines[1])
+    rows = [line.split(",") for line in trace.read_text().strip().split("\n")[3:]]
+    assert [(r[1], r[2]) for r in rows] == [("UB", "25"), ("CORE", "1")]
 
 
 def test_gen_is_deterministic(tmp_path, capsys):

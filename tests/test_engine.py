@@ -17,7 +17,6 @@ from hswcsp import (
     hs_lb,
     hs_lub,
     hs_ub,
-    optimal_cost,
     seed_disjoint_cores,
 )
 
@@ -65,18 +64,21 @@ def test_hs_ub_fig1_trace(fig1):
 
 
 def test_hs_lub_deterministic_fig1_trace(fig1):
-    r = hs_lub(fig1, deterministic=True)
-    assert r.status == OPTIMAL and r.optimum == 20
-    # round-robin: lb grows the core, ub reuses it before lb probes again
-    assert shape(r) == [
-        ("UB", 25, "LB_WORKER"),
-        ("CORE", 1, "LB_WORKER"),
-        ("UB", 20, "UB_WORKER"),
-        ("LB", 20, "LB_WORKER"),
-        ("DONE", 20, "MAIN"),
-    ]
-    assert r.iterations == {"lb": 1, "ub": 1}
-    assert r.cores_used == 1
+    # deterministic is accepted and ignored: the default, which the CLI
+    # runs, is the same round-robin
+    for kw in ({}, {"deterministic": True}, {"deterministic": False}):
+        r = hs_lub(fig1, **kw)
+        assert r.status == OPTIMAL and r.optimum == 20, kw
+        # round-robin: lb grows the core, ub reuses it before lb probes again
+        assert shape(r) == [
+            ("UB", 25, "LB_WORKER"),
+            ("CORE", 1, "LB_WORKER"),
+            ("UB", 20, "UB_WORKER"),
+            ("LB", 20, "LB_WORKER"),
+            ("DONE", 20, "MAIN"),
+        ], kw
+        assert r.iterations == {"lb": 1, "ub": 1}, kw
+        assert r.cores_used == 1, kw
 
 
 def test_two_blocks_optimum(two_blocks):
@@ -215,7 +217,7 @@ def test_only_the_workers_growth_recalls(monkeypatch):
 
     monkeypatch.setattr(SatOracle, "recall", counting_recall)
     monkeypatch.setattr(engine_mod, "seed_disjoint_cores", flagged_seed)
-    r = hs_lub(w, deterministic=True, seed_disjoint=True)
+    r = hs_lub(w, seed_disjoint=True)
     assert r.status == OPTIMAL
     assert recalls > 0
 
@@ -260,25 +262,7 @@ def test_trace_callback_sees_every_event_in_order(fig1):
     assert seen == list(r.trace)
 
 
-# ---------------------------------------------------------------- threading
-
-
-def test_threaded_lub_agrees_across_interleavings():
-    w = generate(seed=42, num_vars=8, max_dom=2, num_funcs=12, cost_range=8)
-    expected = optimal_cost(w)
-    for jitter in range(5):
-        r = hs_lub(w, time_limit=30, jitter_seed=jitter)
-        assert r.status == OPTIMAL and r.optimum == expected
-        assert w.evaluate(r.witness).total == expected
-
-
-def test_threaded_worker_crash_surfaces(fig1, monkeypatch):
-    def boom(*args, **kwargs):
-        raise ValueError("boom")
-
-    monkeypatch.setattr(engine_mod, "maximal_core", boom)
-    with pytest.raises(RuntimeError, match="worker died"):
-        hs_lub(fig1, time_limit=10)
+# ---------------------------------------------------------------- worker errors
 
 
 def test_sequential_worker_crash_propagates_raw(fig1, monkeypatch):
@@ -286,8 +270,9 @@ def test_sequential_worker_crash_propagates_raw(fig1, monkeypatch):
         raise ValueError("boom")
 
     monkeypatch.setattr(engine_mod, "maximal_core", boom)
-    with pytest.raises(ValueError, match="boom"):
-        hs_lb(fig1)
+    for alg in (hs_lb, hs_ub, hs_lub):
+        with pytest.raises(ValueError, match="boom"):
+            alg(fig1, time_limit=10)
 
 
 # ---------------------------------------------------------------- components

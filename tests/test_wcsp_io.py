@@ -158,7 +158,7 @@ def test_pure_csp_gets_a_zero_cost_function():
     assert w.m == 1 and w.cost_functions[0].levels == (0,)
     assert not w.evaluate((0, 0)).feasible
     assert w.evaluate((0, 1)).total == 0
-    result = hs_lub(w, deterministic=True)
+    result = hs_lub(w)
     assert (result.status, result.optimum) == (OPTIMAL, 0)
     assert w.evaluate(result.witness).feasible
 
@@ -167,4 +167,4 @@ def test_infeasible_pure_csp():
     # two hard blocks forbid both values of x0
     w = parse_wcsp("p 1 2 2 10\n2\n1 0 0 1\n0 10\n1 0 0 1\n1 10\n")
     assert w.m == 1 and len(w.hard_constraints) == 2
-    assert hs_lub(w, deterministic=True).status == INFEASIBLE
+    assert hs_lub(w).status == INFEASIBLE
