@@ -265,12 +265,26 @@ def test_trace_callback_sees_every_event_in_order(fig1):
 # ---------------------------------------------------------------- worker errors
 
 
+def test_threaded_worker_crash_surfaces(fig1, monkeypatch):
+    # hs_lub once ran its two workers on threads; it now alternates them on
+    # the caller's thread, and an exception in the UB worker's hitting search
+    # or in either worker's core growth reaches the caller unwrapped.
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    for target in ("cost_bounded_hitting_vector", "maximal_core"):
+        with monkeypatch.context() as m:
+            m.setattr(engine_mod, target, boom)
+            with pytest.raises(ValueError, match="boom"):
+                hs_lub(fig1, time_limit=10)
+
+
 def test_sequential_worker_crash_propagates_raw(fig1, monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("boom")
 
     monkeypatch.setattr(engine_mod, "maximal_core", boom)
-    for alg in (hs_lb, hs_ub, hs_lub):
+    for alg in (hs_lb, hs_ub):
         with pytest.raises(ValueError, match="boom"):
             alg(fig1, time_limit=10)
 
