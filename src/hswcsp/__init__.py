@@ -4,7 +4,7 @@ The library models weighted CSP instances (hard constraints plus additive
 table cost functions), encodes them for an incremental SAT backend, and
 closes in on the optimum from both sides: minimum-cost hitting vectors of
 a growing pool of infeasible cost vectors push the lower bound, satisfiable
-probes push the upper bound, and the two loops can run in parallel over a
+probes push the upper bound, and hs_lub alternates the two loops over a
 shared pool. Exhaustive oracles and a reproducible instance generator back
 the test suite; the `hswcsp` console script wraps batch solving.
 """

@@ -25,7 +25,7 @@ remembered solution fits under it and no remembered core dominates it.
 The answers are the same, so the raises, the grown core and the offered
 values are too. What changes is the work, and with it the models: a
 remembered witness stands in for a fresh one, and fewer queries leave
-the solver in another state. The workers' growth recalls, because its
+the solver in another state. The loops' growth recalls, because its
 offers are probe vector costs, which depend only on SAT/UNSAT answers.
 Seeding does not: `seed_disjoint_cores` offers the evaluated total of
 its last SAT query's witness, which depends on the model the solver

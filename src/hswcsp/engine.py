@@ -6,8 +6,8 @@ records a solution or grows and pools a new core. hs_ub asks only for
 some hitting vector cheaper than the incumbent; when none exists the
 incumbent is proven optimal. hs_lub runs both loops over one pool as a
 single-thread round-robin, so each feeds on the other's cores and bounds.
-Every solve runs in one thread with one SAT oracle, so its trace is
-deterministic up to timestamps.
+Every solve runs in one thread with one SAT oracle and one HittingProblem,
+both shared by its loops, so its trace is deterministic up to timestamps.
 
 Bounds and cores live in a CorePool guarded by one lock; every bound
 change is stamped into a trace. Long searches poll a halt predicate at
@@ -52,10 +52,8 @@ OPTIMAL = "OPTIMAL"
 TIMEOUT = "TIMEOUT"
 INFEASIBLE = "INFEASIBLE"
 
-# worker step outcomes
-_CONTINUE = "continue"
-_FINISHED = "finished"
-_SATURATED = "saturated"
+# trace source of each loop's bound changes and cores
+_SOURCE = {"lb": "LB_WORKER", "ub": "UB_WORKER"}
 
 
 class TraceRecorder:
@@ -84,7 +82,7 @@ class TraceRecorder:
 class CorePool:
     """Shared pool of cores plus the current bounds.
 
-    cores only grow, lb only rises, ub only falls; workers read the cores
+    cores only grow, lb only rises, ub only falls; the loops read the cores
     appended since their last look with cores_since. best_witness is the
     assignment behind the last accepted ub (its evaluated total is <= ub,
     since bound updates may carry vector costs). All mutation happens
@@ -166,90 +164,6 @@ class SolveResult:
             raise ValueError(f"{self.status} result carries optimum {self.optimum}")
 
 
-class _Worker:
-    """One loop over the pool. Owns a HittingProblem that persists across
-    steps and takes in only the cores pooled since the previous step."""
-
-    def __init__(
-        self, w: Wcsp, pool: CorePool, oracle: SatOracle, halt: Callable[[], bool]
-    ):
-        self.w = w
-        self.pool = pool
-        self.oracle = oracle
-        self.halt = halt
-        self.problem = HittingProblem(w.levels_per_function())
-        self._synced = 0  # pool cores already added to self.problem
-        self.iterations = 0
-
-    def _sync(self) -> HittingProblem:
-        new = self.pool.cores_since(self._synced)
-        self._synced += len(new)
-        self.problem.add_cores(new)
-        return self.problem
-
-    def _probe(self, h: tuple[int, ...]) -> str:
-        """Shared tail of both loops: a solution (offered by growth) or a
-        grown core, from one oracle query on h."""
-        pool = self.pool
-        if pool.lb >= pool.ub:
-            return _FINISHED
-        self.iterations += 1
-        offer_ub = partial(pool.offer_ub, source=self.source)
-        grown = maximal_core(
-            self.oracle, h, offer_ub, should_stop=self.halt, recall=True
-        )
-        if grown is not None:
-            pool.add_core(grown, self.source)
-        return _CONTINUE
-
-    def step(self) -> str:
-        raise NotImplementedError
-
-
-class _LbWorker(_Worker):
-    name = "lb"
-    source = "LB_WORKER"
-
-    def step(self) -> str:
-        pool = self.pool
-        lb, ub = pool.bounds()
-        if lb >= ub:
-            return _FINISHED
-        try:
-            h = min_cost_hitting_vector(
-                self._sync(),
-                prune_at=None if ub == INF else ub,
-                should_stop=self.halt,
-            )
-        except PoolSaturatedError:
-            return _SATURATED
-        if h is None:
-            # nothing hits the pool below ub, so ub is the optimum
-            pool.raise_lb(int(ub), self.source)
-            return _FINISHED
-        pool.raise_lb(cost_of_vector(h), self.source)
-        return self._probe(h)
-
-
-class _UbWorker(_Worker):
-    name = "ub"
-    source = "UB_WORKER"
-
-    def step(self) -> str:
-        pool = self.pool
-        lb, ub = pool.bounds()
-        if lb >= ub:
-            return _FINISHED
-        h = cost_bounded_hitting_vector(self._sync(), ub, should_stop=self.halt)
-        if h is None:
-            if ub == INF:
-                # only a saturated pool fails under an infinite budget
-                return _SATURATED
-            pool.raise_lb(int(ub), self.source)
-            return _FINISHED
-        return self._probe(h)
-
-
 def seed_disjoint_cores(
     w: Wcsp,
     pool: CorePool,
@@ -310,24 +224,63 @@ def _level_above(levels: tuple[int, ...], level: int) -> int | None:
     return levels[j + 1] if j + 1 < len(levels) else None
 
 
-def _run_alternating(workers: list[_Worker], halt: Callable[[], bool]) -> str | None:
-    """Single-thread round-robin over the workers; deterministic."""
+def _run_loops(
+    w: Wcsp,
+    pool: CorePool,
+    oracle: SatOracle,
+    halt: Callable[[], bool],
+    iterations: dict[str, int],
+) -> bool:
+    """Round-robin over the loops named in `iterations` ("lb", "ub"), one
+    step each per turn, counting each loop's probes there; deterministic.
+
+    Both loops search one HittingProblem, which takes in the cores pooled
+    since the previous step. A step searches for a hitter, the minimum-cost
+    one for lb (its cost raises lb) or any one under ub for ub, then probes
+    it: core growth offers the solutions it meets and pools the grown core.
+    Returns True when the pool is saturated, so nothing hits it, and False
+    when the loops are done or halted.
+    """
+    problem = HittingProblem(w.levels_per_function())
+    synced = 0  # pool cores already added to problem
     while True:
-        for worker in workers:
+        for name in iterations:
             if halt():
-                return None
-            try:
-                outcome = worker.step()
-            except SearchAborted:
-                return None
-            if outcome != _CONTINUE:
-                return outcome
+                return False
+            source = _SOURCE[name]
+            ub = pool.bounds()[1]
+            new = pool.cores_since(synced)
+            synced += len(new)
+            problem.add_cores(new)
+            if name == "lb":
+                try:
+                    h = min_cost_hitting_vector(
+                        problem, prune_at=None if ub == INF else ub, should_stop=halt
+                    )
+                except PoolSaturatedError:
+                    return True
+                if h is not None:
+                    pool.raise_lb(cost_of_vector(h), source)
+            else:
+                h = cost_bounded_hitting_vector(problem, ub, should_stop=halt)
+                if h is None and ub == INF:
+                    return True  # only a saturated pool fails under no budget
+            if h is None:
+                # nothing hits the pool below ub, so ub is the optimum
+                pool.raise_lb(int(ub), source)
+                return False
+            if pool.lb >= pool.ub:
+                return False  # the hitter's cost met ub
+            iterations[name] += 1
+            offer_ub = partial(pool.offer_ub, source=source)
+            grown = maximal_core(oracle, h, offer_ub, should_stop=halt, recall=True)
+            if grown is not None:
+                pool.add_core(grown, source)
 
 
 def _solve(
     w: Wcsp,
-    enable_lb: bool,
-    enable_ub: bool,
+    loops: tuple[str, ...],
     pool: CorePool | None,
     time_limit: float | None,
     seed_disjoint: bool,
@@ -349,7 +302,7 @@ def _solve(
             or pool.lb >= pool.ub
         )
 
-    workers: list[_Worker] = []
+    iterations: dict[str, int] = {}
     infeasible = False
     try:
         if not halt():
@@ -359,11 +312,8 @@ def _solve(
             else:
                 if seed_disjoint:
                     seed_disjoint_cores(w, pool, oracle, should_stop=halt)
-                if enable_lb:
-                    workers.append(_LbWorker(w, pool, oracle, halt))
-                if enable_ub:
-                    workers.append(_UbWorker(w, pool, oracle, halt))
-                infeasible = _run_alternating(workers, halt) == _SATURATED
+                iterations = dict.fromkeys(loops, 0)
+                infeasible = _run_loops(w, pool, oracle, halt, iterations)
     except SearchAborted:
         pass
 
@@ -384,7 +334,7 @@ def _solve(
         ub=ub,
         witness=pool.best_witness,
         cores_used=len(pool.cores),
-        iterations={worker.name: worker.iterations for worker in workers},
+        iterations=iterations,
         wall_ms=(time.monotonic() - t0) * 1000,
         trace=tuple(recorder.events),
     )
@@ -398,7 +348,7 @@ def hs_lb(
     trace: Callable[[TraceEvent], None] | None = None,
 ) -> SolveResult:
     """Lower-bound-driven loop: optimal hitting vectors, rising lb."""
-    return _solve(w, True, False, pool, time_limit, seed_disjoint, trace)
+    return _solve(w, ("lb",), pool, time_limit, seed_disjoint, trace)
 
 
 def hs_ub(
@@ -409,7 +359,7 @@ def hs_ub(
     trace: Callable[[TraceEvent], None] | None = None,
 ) -> SolveResult:
     """Upper-bound-driven loop: any hitting vector under the incumbent."""
-    return _solve(w, False, True, pool, time_limit, seed_disjoint, trace)
+    return _solve(w, ("ub",), pool, time_limit, seed_disjoint, trace)
 
 
 def hs_lub(
@@ -424,10 +374,11 @@ def hs_lub(
     bounds.
 
     The loops take turns in one thread, one step each, with one SAT oracle
-    shared by seeding and both loops, so a run is deterministic. The paper
+    shared by seeding and both loops and one HittingProblem shared by both
+    loops, so a run is deterministic. The paper
     runs them as two threads; under the interpreter lock threads cannot run
     in parallel, and the synergy comes from the shared pool, which the
     round-robin keeps. deterministic is accepted for compatibility and has
     no effect. One loop alone is hs_lb or hs_ub.
     """
-    return _solve(w, True, True, pool, time_limit, seed_disjoint, trace)
+    return _solve(w, ("lb", "ub"), pool, time_limit, seed_disjoint, trace)

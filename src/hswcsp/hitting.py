@@ -163,21 +163,6 @@ def _make_stop_poll(should_stop: Callable[[], bool] | None) -> Callable[[], None
     return poll
 
 
-def _branch_search(
-    p: HittingProblem,
-    bound: float,
-    stop_at: float,
-    should_stop: Callable[[], bool] | None,
-    prefix: Sequence[int] = (),
-) -> tuple[int, tuple[int, ...]] | None:
-    """Cheapest hitting vector with cost strictly below `bound`.
-
-    Returns (cost, level-index tuple) or None: the hitter _branch_and_bound
-    finds, without the bound a refuted search proves.
-    """
-    return _branch_and_bound(p, bound, stop_at, should_stop, prefix)[0]
-
-
 def _branch_and_bound(
     p: HittingProblem,
     bound: float,
@@ -355,7 +340,7 @@ def _lex_min_at_cost(
     that still lets the remaining components complete a hitter within the
     budget. The witness always agrees with the fixed prefix and completes
     it, so at each position only the levels below the witness's need a
-    check. Each check is a first-solution _branch_search on `p` itself
+    check. Each check is a first-solution _branch_and_bound on `p` itself
     under the prefix; the hitter a check finds becomes the next witness.
     When no lower level completes, the witness's level is taken
     unsearched. A mask of the cores the fixed prefix leaves unhit, narrowed
@@ -365,7 +350,9 @@ def _lex_min_at_cost(
     unhit = (1 << len(p.cores)) - 1
     for pos in range(p.m):
         for t in range(witness[pos]):
-            found = _branch_search(p, target + 1, math.inf, should_stop, (*witness[:pos], t))
+            found = _branch_and_bound(
+                p, target + 1, math.inf, should_stop, (*witness[:pos], t)
+            )[0]
             if found is not None:
                 witness = found[1]
                 break
@@ -422,7 +409,7 @@ def cost_bounded_hitting_vector(
     """
     if p.saturated:
         return None
-    found = _branch_search(p, ub, math.inf, should_stop)
+    found = _branch_and_bound(p, ub, math.inf, should_stop)[0]
     if found is None:
         return None
     return p.vector_at(found[1])

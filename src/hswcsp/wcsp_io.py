@@ -193,7 +193,7 @@ TRACE_HEADER = "elapsed_ms,kind,value,source"
 class TraceEvent:
     """One bound-trace row: a monotonic-clock timestamp in ms, what changed
     (LB/UB/CORE/DONE), the new value (bound, cumulative core count, or final
-    optimum), and which worker reported it."""
+    optimum), and which loop reported it."""
 
     elapsed_ms: int
     kind: str

@@ -132,15 +132,55 @@ def test_infeasible_instance(infeasible, name, alg):
     assert r.status == INFEASIBLE and r.optimum is None
     assert (r.lb, r.ub) == (0, INF)
     assert r.trace == () and r.witness is None
+    assert r.iterations == {}
 
 
 def test_bogus_saturated_pool_reports_infeasible(fig1):
     # a pooled core at every maximum level claims even the loosest vector
     # fails; the solver takes the pool at its word
-    for alg in (hs_lb, hs_ub):
+    for alg, iterations in (
+        (hs_lb, {"lb": 0}),
+        (hs_ub, {"ub": 0}),
+        (hs_lub, {"lb": 0, "ub": 0}),
+    ):
         pool = CorePool()
         pool.add_core((20, 20), "MAIN")
-        assert alg(fig1, pool=pool).status == INFEASIBLE
+        r = alg(fig1, pool=pool)
+        assert r.status == INFEASIBLE
+        assert r.iterations == iterations
+
+
+def test_time_limit_with_a_large_pool():
+    """990 binary variables, each paying 1 for its only allowed value, with
+    the pool pre-filled by their 990 single-raise cores: a loop that starts
+    adds about a million core entries to the hitting problem, and
+    add_cores does not poll the clock. A short time limit still returns
+    clean bounds well within a second or two of the deadline, and with no
+    limit each strategy proves the optimum."""
+    m = 990
+    w = Wcsp.build(
+        m,
+        [2] * m,
+        [((i,), {(0,): 0, (1,): 1}) for i in range(m)],
+        hard=[((i,), [(0,)]) for i in range(m)],
+        top=10,
+        name="single-raise",
+    )
+    cores = [tuple(0 if j == i else 1 for j in range(m)) for i in range(m)]
+
+    def prefilled() -> CorePool:
+        pool = CorePool()
+        for core in cores:
+            pool.add_core(core, "MAIN")
+        return pool
+
+    for name, alg in ALGS:
+        r = alg(w, pool=prefilled(), time_limit=0.05)
+        assert r.status == TIMEOUT and (r.lb, r.ub) == (0, INF), name
+        assert r.wall_ms < 2000, name
+        r = alg(w, pool=prefilled())
+        assert r.status == OPTIMAL and r.optimum == m, name
+        assert w.evaluate(r.witness).total == m, name
 
 
 # ---------------------------------------------------------------- seeding
@@ -192,7 +232,7 @@ def test_seeding_stops_at_a_sat_first_probe():
 
 def test_only_the_workers_growth_recalls(monkeypatch):
     """Seeding's offers depend on the models the solver returns, so its
-    growth must not consult the oracle's memory; the workers' growth
+    growth must not consult the oracle's memory; the loops' growth
     does."""
     w = generate(seed=4, num_vars=16, max_dom=3, num_funcs=20, cost_range=2,
                  hard_density=0.2)
@@ -260,6 +300,45 @@ def test_trace_callback_sees_every_event_in_order(fig1):
     seen = []
     r = hs_lb(fig1, trace=seen.append)
     assert seen == list(r.trace)
+
+
+# ---------------------------------------------------------------- one problem
+
+
+def test_lub_loops_search_one_shared_problem(fig1, two_blocks, monkeypatch):
+    """Both loops of hs_lub search the one HittingProblem its solve builds."""
+    built = []
+    searched = []
+    build = engine_mod.HittingProblem
+    min_cost = engine_mod.min_cost_hitting_vector
+    bounded = engine_mod.cost_bounded_hitting_vector
+
+    def counting_build(*args, **kwargs):
+        problem = build(*args, **kwargs)
+        built.append(problem)
+        return problem
+
+    def recording(kind, search):
+        def call(p, *args, **kwargs):
+            searched.append((kind, p))
+            return search(p, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(engine_mod, "HittingProblem", counting_build)
+    monkeypatch.setattr(engine_mod, "min_cost_hitting_vector", recording("lb", min_cost))
+    monkeypatch.setattr(
+        engine_mod, "cost_bounded_hitting_vector", recording("ub", bounded)
+    )
+    generated = generate(seed=4, num_vars=16, max_dom=3, num_funcs=20, cost_range=2,
+                         hard_density=0.2)
+    for w in (fig1, two_blocks, generated):
+        built.clear()
+        searched.clear()
+        r = hs_lub(w)
+        assert r.status == OPTIMAL, w.name
+        assert len(built) == 1, w.name
+        assert {kind for kind, _ in searched} == {"lb", "ub"}, w.name
+        assert all(p is built[0] for _, p in searched), w.name
 
 
 # ---------------------------------------------------------------- worker errors

@@ -17,7 +17,7 @@ from hswcsp import (
     hits,
     min_cost_hitting_vector,
 )
-from hswcsp.hitting import _branch_and_bound, _branch_search, _lex_min_at_cost
+from hswcsp.hitting import _branch_and_bound, _lex_min_at_cost
 
 FIG1_LEVELS = [(0, 5, 20), (0, 5, 20)]
 
@@ -293,7 +293,7 @@ def test_floor_never_changes_an_answer():
             expected = exhaustive_mhv(levels, pool[:n])
             best = sum(expected)
             assert p.floor <= best
-            first = _branch_search(p, math.inf, p.floor, None)
+            first = _branch_and_bound(p, math.inf, p.floor, None)[0]
             assert first is not None and first[0] == best
             if p.vector_at(first[1]) != expected:
                 witness_replaced += 1
@@ -405,7 +405,7 @@ def test_prefix_search_finds_the_cheapest_extension():
             for idx in itertools.product(*(range(len(ls)) for ls in levels))
             if idx[: len(prefix)] == prefix and hits(p.vector_at(idx), pool)
         ]
-        got = _branch_search(p, math.inf, -math.inf, None, prefix)
+        got = _branch_and_bound(p, math.inf, -math.inf, None, prefix)[0]
         if not extensions:
             assert got is None
             missing += 1
