@@ -49,7 +49,6 @@ from .wcsp_io import (
     parse_wcsp_file,
     read_trace,
     wcsp_to_text,
-    write_trace,
     write_wcsp,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "read_trace",
     "seed_disjoint_cores",
     "wcsp_to_text",
-    "write_trace",
     "write_wcsp",
     "__version__",
 ]

@@ -41,18 +41,6 @@ def optimal_cost(w: Wcsp) -> int | None:
     return best
 
 
-def optimal_assignment(w: Wcsp) -> tuple[int, ...] | None:
-    """Lexicographically first assignment achieving the optimum."""
-    _guard(_assignment_space(w), MAX_ASSIGNMENTS, "assignment")
-    best_cost: int | None = None
-    best_a = None
-    for a in w.assignments():
-        ev = w.evaluate(a)
-        if ev.feasible and (best_cost is None or ev.total < best_cost):
-            best_cost, best_a = ev.total, a
-    return best_a
-
-
 def feasible_cost_profiles(w: Wcsp) -> list[tuple[int, ...]]:
     """Per-function cost tuples of feasible assignments, minimal ones only.
 
@@ -102,9 +90,22 @@ def classify_all_vectors(w: Wcsp) -> VectorClassification:
 
 
 def maximal_cores(w: Wcsp) -> list[tuple[int, ...]]:
-    """Cores not dominated by any other core."""
+    """Cores not dominated by any other core, in classification order.
+
+    Solutions are closed upward, so cores are closed downward: a core
+    below another has a single-level raise that is still a core. So a
+    core is dominated exactly when one of its single-level raises is one.
+    """
     cores = classify_all_vectors(w).cores
-    return [k for k in cores if not any(k2 != k and leq(k, k2) for k2 in cores)]
+    is_core = set(cores)
+
+    def raises(k: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+        for i, (f, c) in enumerate(zip(w.cost_functions, k)):
+            j = f.index[c] + 1
+            if j < len(f.levels):
+                yield k[:i] + (f.levels[j],) + k[i + 1 :]
+
+    return [k for k in cores if not any(r in is_core for r in raises(k))]
 
 
 def exhaustive_mhv(
@@ -138,7 +139,8 @@ def exhaustive_mhv(
         key = (sum(v), idx)
         if best_key is None or key < best_key:
             best_key, best_vec = key, v
-    assert best_vec is not None  # saturation was ruled out above
+    if best_vec is None:
+        raise RuntimeError("no vector hits an unsaturated pool")
     return best_vec
 
 

@@ -85,7 +85,7 @@ def maximal_core(
         return None
     bound = first.core  # v <= bound throughout, and bound is a core
 
-    idx = [f.levels.index(c) for f, c in zip(funcs, v)]
+    idx = [f.index[c] for f, c in zip(funcs, v)]
     settled = [False] * len(v)
     while True:
         order = sorted(

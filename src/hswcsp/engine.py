@@ -209,19 +209,13 @@ def seed_disjoint_cores(
         bump = sum(mins)
         for core in added:
             increments = [
-                next_level - mins[i]
+                f.levels[f.index[level] + 1] - mins[i]
                 for i, (f, level) in enumerate(zip(w.cost_functions, core))
-                for next_level in [_level_above(f.levels, level)]
-                if next_level is not None
+                if level < maxs[i]
             ]
             bump += min(increments, default=0)
         pool.raise_lb(bump, "SEED")
     return len(added)
-
-
-def _level_above(levels: tuple[int, ...], level: int) -> int | None:
-    j = levels.index(level)
-    return levels[j + 1] if j + 1 < len(levels) else None
 
 
 def _run_loops(
@@ -235,23 +229,26 @@ def _run_loops(
     step each per turn, counting each loop's probes there; deterministic.
 
     Both loops search one HittingProblem, which takes in the cores pooled
-    since the previous step. A step searches for a hitter, the minimum-cost
-    one for lb (its cost raises lb) or any one under ub for ub, then probes
-    it: core growth offers the solutions it meets and pools the grown core.
+    since the previous step, one at a time with a halt poll before each,
+    so a large pool does not hold up a time limit. A step searches for a
+    hitter, the minimum-cost one for lb (its cost raises lb) or any one
+    under ub for ub, then probes it: core growth offers the solutions it
+    meets and pools the grown core.
     Returns True when the pool is saturated, so nothing hits it, and False
     when the loops are done or halted.
     """
     problem = HittingProblem(w.levels_per_function())
-    synced = 0  # pool cores already added to problem
     while True:
         for name in iterations:
             if halt():
                 return False
             source = _SOURCE[name]
             ub = pool.bounds()[1]
-            new = pool.cores_since(synced)
-            synced += len(new)
-            problem.add_cores(new)
+            # the pool has no duplicates, so the problem keeps every core
+            for core in pool.cores_since(len(problem.cores)):
+                if halt():
+                    return False
+                problem.add_cores((core,))
             if name == "lb":
                 try:
                     h = min_cost_hitting_vector(

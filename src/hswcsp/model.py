@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 INF = float("inf")
@@ -61,13 +62,11 @@ class CostFunction:
     def cost(self, assignment: Sequence[int]) -> int:
         return self.table[tuple(assignment[x] for x in self.scope)]
 
-    @property
-    def min_level(self) -> int:
-        return self.levels[0]
-
-    @property
-    def max_level(self) -> int:
-        return self.levels[-1]
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """The level table: each level's position in `levels`. Built on
+        first use, so parsing an instance does not pay for it."""
+        return {c: j for j, c in enumerate(self.levels)}
 
 
 class Evaluation(NamedTuple):
@@ -192,10 +191,10 @@ class Wcsp:
         return tuple(f.levels for f in self.cost_functions)
 
     def min_vector(self) -> tuple[int, ...]:
-        return tuple(f.min_level for f in self.cost_functions)
+        return tuple(f.levels[0] for f in self.cost_functions)
 
     def max_vector(self) -> tuple[int, ...]:
-        return tuple(f.max_level for f in self.cost_functions)
+        return tuple(f.levels[-1] for f in self.cost_functions)
 
     def assignments(self) -> Iterable[tuple[int, ...]]:
         return itertools.product(*(range(d) for d in self.domains))
@@ -214,12 +213,9 @@ class Wcsp:
         if len(v) != self.m:
             raise ValueError(f"vector length {len(v)} != m={self.m}")
         for f, c in zip(self.cost_functions, v):
-            if c not in f.levels:
+            if c not in f.index:
                 raise ValueError(f"{c} is not a level of function {f.scope}")
         return v
-
-    def cost_of_vector(self, v: Sequence[int]) -> int:
-        return sum(self.validate_vector(v))
 
     def evaluate(self, a: Sequence[int]) -> Evaluation:
         """Total cost, per-function costs, and feasibility of an assignment.

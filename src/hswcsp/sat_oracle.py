@@ -29,10 +29,11 @@ core is remembered once. `solve_under_vector` records and never recalls:
 it always asks the backend, so its calls and the backend's match one to
 one.
 
-Backends are pluggable: anything with new_var/add_clause/model_value, a
-`conflict` list, and a solve that answers True or False or raises
-SearchAborted (the default CDCL solver, or the naive backtracking one kept
-for differential testing, which reports every assumption as failed).
+A backend is a factory: anything that builds an object with
+new_var/add_clause/model_value, a `conflict` list, and a solve that
+answers True or False or raises SearchAborted. The default is the
+CdclSolver class; the NaiveSolver class, a backtracking solver kept for
+differential testing, reports every assumption as failed.
 """
 
 from __future__ import annotations
@@ -186,9 +187,10 @@ class Encoding:
     """Variable numbering and clause lists for one instance.
 
     Owns the maps from (csp variable, value) to boolean ids and from
-    (function, level index >= 1) to selector ids. Base clauses are the
-    exactly-one groups plus hard-constraint forbids; guarded clauses tie
-    each non-minimum-cost tuple to its level selector.
+    (function, level index >= 1) to selector ids: `selector_var[i][j - 1]`
+    is s(i, j). Base clauses are the exactly-one groups plus
+    hard-constraint forbids; guarded clauses tie each non-minimum-cost
+    tuple to its level selector.
     """
 
     def __init__(self, w: Wcsp):
@@ -197,16 +199,15 @@ class Encoding:
         self.value_var: list[list[int]] = [
             [next(counter) for _ in range(d)] for d in w.domains
         ]
-        self.selector_var: list[dict[int, int]] = [
-            {j: next(counter) for j in range(1, len(f.levels))}
-            for f in w.cost_functions
+        self.selector_var: list[list[int]] = [
+            [next(counter) for _ in f.levels[1:]] for f in w.cost_functions
         ]
         self.num_vars = next(counter) - 1
         # selector id -> (function, level index)
         self.selector_owner: dict[int, tuple[int, int]] = {
             s: (i, j)
             for i, sel in enumerate(self.selector_var)
-            for j, s in sel.items()
+            for j, s in enumerate(sel, 1)
         }
 
         self.base_clauses: list[list[int]] = []
@@ -224,29 +225,22 @@ class Encoding:
 
         self.guarded_clauses: list[list[int]] = []
         for i, f in enumerate(w.cost_functions):
-            level_index = {c: j for j, c in enumerate(f.levels)}
             for t in sorted(f.table):
-                c = f.table[t]
-                j = level_index.get(c)
-                if j is None or j == 0:
+                j = f.index.get(f.table[t])
+                if not j:
                     continue  # hard-forbidden or minimum level: no guard
                 self.guarded_clauses.append(
-                    [-self.selector_var[i][j]]
+                    [-self.selector_var[i][j - 1]]
                     + [-self.value_var[x][val] for x, val in zip(f.scope, t)]
                 )
 
-    @property
-    def num_selectors(self) -> int:
-        return sum(len(s) for s in self.selector_var)
-
     def assumptions_for(self, v: Sequence[int]) -> list[int]:
-        """Selector literals asserting f_i <= v_i for every function."""
+        """Selector literals asserting f_i <= v_i for every function: the
+        s(i, j) of every level levels[j] above v_i, in function order. v
+        must be a vector of levels."""
         out = []
-        for i, f in enumerate(self.w.cost_functions):
-            vi = v[i]
-            for j in range(1, len(f.levels)):
-                if f.levels[j] > vi:
-                    out.append(self.selector_var[i][j])
+        for f, sel, vi in zip(self.w.cost_functions, self.selector_var, v):
+            out += sel[f.index[vi]:]
         return out
 
     def core_for(self, failed: Sequence[int]) -> tuple[int, ...]:
@@ -276,12 +270,6 @@ class Encoding:
         return tuple(out)
 
 
-_BACKENDS: dict[str, Callable[[], SatBackend]] = {
-    "cdcl": CdclSolver,
-    "naive": NaiveSolver,
-}
-
-
 class SatOracle:
     """An Encoding loaded into a backend, answering vector queries.
 
@@ -290,11 +278,10 @@ class SatOracle:
     of the selector scheme, and the oracle keeps its verdicts for `recall`.
     """
 
-    def __init__(self, w: Wcsp, backend: str | Callable[[], SatBackend] = "cdcl"):
+    def __init__(self, w: Wcsp, backend: Callable[[], SatBackend] = CdclSolver):
         self.w = w
         self.encoding = Encoding(w)
-        factory = _BACKENDS[backend] if isinstance(backend, str) else backend
-        self.solver: SatBackend = factory()
+        self.solver: SatBackend = backend()
         for _ in range(self.encoding.num_vars):
             self.solver.new_var()
         for c in self.encoding.base_clauses:
@@ -302,9 +289,6 @@ class SatOracle:
         for c in self.encoding.guarded_clauses:
             self.solver.add_clause(c)
         # verdict memory (see the module docstring)
-        self._level_index = [
-            {c: t for t, c in enumerate(f.levels)} for f in w.cost_functions
-        ]
         self.fits: list[list[int]] = [
             [0] * len(f.levels) for f in w.cost_functions
         ]
@@ -361,8 +345,8 @@ class SatOracle:
         self._seen.add(cost)
         bit = 1 << len(self.solutions)
         self.solutions.append((witness, cost))
-        for row, index, c in zip(self.fits, self._level_index, cost):
-            for t in range(index[c], len(row)):
+        for row, f, c in zip(self.fits, self.w.cost_functions, cost):
+            for t in range(f.index[c], len(row)):
                 row[t] |= bit
 
     def _remember_core(self, core: tuple[int, ...]) -> None:
@@ -371,8 +355,8 @@ class SatOracle:
         self._seen.add(core)
         bit = 1 << len(self.cores)
         self.cores.append(core)
-        for row, index, c in zip(self.under, self._level_index, core):
-            for t in range(index[c] + 1):
+        for row, f, c in zip(self.under, self.w.cost_functions, core):
+            for t in range(f.index[c] + 1):
                 row[t] |= bit
 
     def recall(self, v: Sequence[int]) -> OracleVerdict | None:
@@ -381,7 +365,7 @@ class SatOracle:
         earliest remembered core that dominates v (UNSAT). Never calls the
         backend."""
         v = self.w.validate_vector(v)
-        ts = [index[c] for index, c in zip(self._level_index, v)]
+        ts = [f.index[c] for f, c in zip(self.w.cost_functions, v)]
         fit = (1 << len(self.solutions)) - 1
         for row, t in zip(self.fits, ts):
             if not fit:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 from .model import Wcsp, is_pure_hard
 
@@ -227,13 +227,6 @@ class TraceWriter:
     def write(self, event: TraceEvent) -> None:
         self._sink.write(event.as_row() + "\n")
         self._sink.flush()
-
-
-def write_trace(events: Iterable[TraceEvent], sink: IO[str], comments: Sequence[str] = ()) -> None:
-    """Write a complete trace in one go (header always included)."""
-    writer = TraceWriter(sink, comments)
-    for e in events:
-        writer.write(e)
 
 
 def read_trace(text: str) -> list[TraceEvent]:

@@ -30,6 +30,8 @@ from hswcsp.bruteforce import (
     maximal_cores,
     vector_is_solution,
 )
+from hswcsp.cdcl import CdclSolver
+from hswcsp.sat_oracle import NaiveSolver
 
 OPTIMAL = "OPTIMAL"
 
@@ -184,8 +186,8 @@ def test_criterion_7_oracle_backends_agree_with_brute_force():
             cost_range=8,
             hard_density=0.25 if seed % 2 else 0.0,
         )
-        cdcl = SatOracle(w, "cdcl")
-        naive = SatOracle(w, "naive")
+        cdcl = SatOracle(w, CdclSolver)
+        naive = SatOracle(w, NaiveSolver)
         for _ in range(20):
             v = tuple(rng.choice(f.levels) for f in w.cost_functions)
             expected = vector_is_solution(w, v)

@@ -7,13 +7,13 @@ from hswcsp import (
     classify_all_vectors,
     exhaustive_mhv,
     generate,
+    leq,
     optimal_cost,
     wcsp_to_text,
 )
 from hswcsp.bruteforce import (
     feasible_cost_profiles,
     maximal_cores,
-    optimal_assignment,
     vector_is_solution,
 )
 
@@ -22,9 +22,6 @@ FIG1_LEVELS = [(0, 5, 20), (0, 5, 20)]
 
 def test_fig1_optimum(fig1):
     assert optimal_cost(fig1) == 20
-    a = optimal_assignment(fig1)
-    assert a == (0, 0, 0)  # lexicographically first of the cost-20 assignments
-    assert fig1.evaluate(a).total == 20
 
 
 def test_fig1_classification(fig1):
@@ -35,6 +32,14 @@ def test_fig1_classification(fig1):
     best = min(sum(v) for v in cls.solutions)
     assert best == 20
     assert {v for v in cls.solutions if sum(v) == best} == {(0, 20), (20, 0)}
+
+
+def test_maximal_cores_matches_its_definition(corpus):
+    for w, _ in corpus[4:12]:
+        cores = classify_all_vectors(w).cores
+        assert maximal_cores(w) == [
+            k for k in cores if not any(k2 != k and leq(k, k2) for k2 in cores)
+        ]
 
 
 def test_fig1_profiles(fig1):
@@ -51,7 +56,6 @@ def test_vector_is_solution_matches_classification(fig1):
 
 def test_infeasible_instance(infeasible):
     assert optimal_cost(infeasible) is None
-    assert optimal_assignment(infeasible) is None
     assert feasible_cost_profiles(infeasible) == []
     cls = classify_all_vectors(infeasible)
     assert cls.solutions == [] and len(cls.cores) == 2

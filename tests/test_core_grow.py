@@ -13,6 +13,8 @@ from hswcsp import (
     maximal_core,
 )
 from hswcsp.bruteforce import classify_all_vectors, maximal_cores, vector_is_solution
+from hswcsp.cdcl import CdclSolver
+from hswcsp.sat_oracle import NaiveSolver
 
 
 @pytest.mark.parametrize("start", [(0, 0), (0, 5), (5, 0), (5, 5)])
@@ -151,9 +153,9 @@ def test_skipped_probes_do_not_change_growth(corpus):
                 continue
             runs = {}
             for name, backend, recall in (
-                ("cdcl", "cdcl", False),
-                ("cdcl+recall", "cdcl", True),
-                ("naive", "naive", False),
+                ("cdcl", CdclSolver, False),
+                ("cdcl+recall", CdclSolver, True),
+                ("naive", NaiveSolver, False),
             ):
                 oracle = recalling if recall else _Counting(w, backend)
                 before = oracle.calls

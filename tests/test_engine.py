@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -150,14 +151,9 @@ def test_bogus_saturated_pool_reports_infeasible(fig1):
         assert r.iterations == iterations
 
 
-def test_time_limit_with_a_large_pool():
-    """990 binary variables, each paying 1 for its only allowed value, with
-    the pool pre-filled by their 990 single-raise cores: a loop that starts
-    adds about a million core entries to the hitting problem, and
-    add_cores does not poll the clock. A short time limit still returns
-    clean bounds well within a second or two of the deadline, and with no
-    limit each strategy proves the optimum."""
-    m = 990
+def _single_raise(m: int = 990):
+    """m binary variables, each paying 1 for its only allowed value, and a
+    factory for pools pre-filled with their m single-raise cores."""
     w = Wcsp.build(
         m,
         [2] * m,
@@ -174,13 +170,50 @@ def test_time_limit_with_a_large_pool():
             pool.add_core(core, "MAIN")
         return pool
 
+    return w, prefilled
+
+
+def test_time_limit_with_a_large_pool():
+    """With 990 pre-pooled cores, a loop that starts adds about a million
+    core entries to the hitting problem, polling the clock between cores.
+    A short time limit still returns clean bounds well within a second or
+    two of the deadline, and with no limit each strategy proves the
+    optimum."""
+    w, prefilled = _single_raise()
     for name, alg in ALGS:
         r = alg(w, pool=prefilled(), time_limit=0.05)
         assert r.status == TIMEOUT and (r.lb, r.ub) == (0, INF), name
         assert r.wall_ms < 2000, name
         r = alg(w, pool=prefilled())
-        assert r.status == OPTIMAL and r.optimum == m, name
-        assert w.evaluate(r.witness).total == m, name
+        assert r.status == OPTIMAL and r.optimum == w.m, name
+        assert w.evaluate(r.witness).total == w.m, name
+
+
+def test_core_sync_polls_the_halt_predicate(monkeypatch):
+    """On a clock that moves only when a core enters the hitting problem,
+    1 s per core, a 2.5 s limit stops every strategy after the third of the
+    990 pooled cores, before any search."""
+    w, prefilled = _single_raise()
+    now = [0.0]
+    monkeypatch.setattr(engine_mod, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    problems = []
+
+    class Ticking(engine_mod.HittingProblem):
+        def __init__(self, levels, pool=()):
+            problems.append(self)
+            super().__init__(levels, pool)
+
+        def add_cores(self, pool):
+            pool = list(pool)
+            now[0] += len(pool)
+            super().add_cores(pool)
+
+    monkeypatch.setattr(engine_mod, "HittingProblem", Ticking)
+    for name, alg in ALGS:
+        now[0] = 0.0
+        r = alg(w, pool=prefilled(), time_limit=2.5)
+        assert r.status == TIMEOUT and (r.lb, r.ub) == (0, INF), name
+        assert len(problems) == 1 and len(problems.pop().cores) <= 3, name
 
 
 # ---------------------------------------------------------------- seeding

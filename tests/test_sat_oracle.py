@@ -18,14 +18,15 @@ from hswcsp.bruteforce import vector_is_solution
 from hswcsp.cdcl import CdclSolver
 from hswcsp.sat_oracle import NaiveSolver, OracleVerdict
 
-BACKENDS = ("cdcl", "naive")
+BACKENDS = (CdclSolver, NaiveSolver)
+each_backend = pytest.mark.parametrize("backend", BACKENDS, ids=("cdcl", "naive"))
 
 
 def test_encoding_shape(fig1):
     enc = Encoding(fig1)
     # 6 value booleans + 2 selectors per function
     assert enc.num_vars == 10
-    assert enc.num_selectors == 4
+    assert sum(map(len, enc.selector_var)) == 4
     # per domain: one at-least-one clause plus one pairwise exclusion
     assert len(enc.base_clauses) == 6
     # per function: one guard per tuple costing a non-minimum level
@@ -41,14 +42,36 @@ def test_assumptions_for(fig1):
     assert len(enc.assumptions_for((5, 20))) == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def test_assumptions_for_is_every_selector_above_the_bound(corpus):
+    """Selectors are numbered after the value booleans, in (i, j) order, and
+    assumptions_for(v) lists s(i, j) for every j >= 1 with levels[j] > v_i,
+    in that order."""
+    rng = random.Random(11)
+    for w, _ in corpus[:60]:
+        enc = Encoding(w)
+        s = {owner: lit for lit, owner in enc.selector_owner.items()}
+        pairs = [
+            (i, j)
+            for i, f in enumerate(w.cost_functions)
+            for j in range(1, len(f.levels))
+        ]
+        first = sum(w.domains) + 1
+        assert [s[p] for p in pairs] == list(range(first, enc.num_vars + 1))
+        for _ in range(5):
+            v = tuple(rng.choice(f.levels) for f in w.cost_functions)
+            assert enc.assumptions_for(v) == [
+                s[i, j] for i, j in pairs if w.cost_functions[i].levels[j] > v[i]
+            ]
+
+
+@each_backend
 def test_solve_csp(fig1, infeasible, backend):
     assert SatOracle(fig1, backend).solve_csp().satisfiable
     verdict = SatOracle(infeasible, backend).solve_csp()
     assert not verdict.satisfiable and verdict.witness is None
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@each_backend
 def test_fig1_vectors_all_classified(fig1, backend):
     oracle = SatOracle(fig1, backend)
     for v in itertools.product((0, 5, 20), repeat=2):
@@ -68,7 +91,7 @@ def test_vector_validation_propagates(fig1):
         SatOracle(fig1).solve_under_vector((0, 7))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@each_backend
 def test_should_stop_aborts(fig1, backend):
     oracle = SatOracle(fig1, backend)
     with pytest.raises(SearchAborted):
@@ -257,7 +280,7 @@ def test_check_witness_respects_bounds(fig1):
 def test_check_core_dominates_query(fig1):
     enc = Encoding(fig1)
     # (20, 20) assumes no selector, so blaming s(0, 1) yields core (0, 20)
-    oracle = SatOracle(fig1, _blaming(enc.selector_var[0][1]))
+    oracle = SatOracle(fig1, _blaming(enc.selector_var[0][0]))
     with pytest.raises(RuntimeError, match="does not dominate"):
         oracle.solve_under_vector((20, 20))
     oracle = SatOracle(fig1, _blaming(enc.value_var[0][0]))
@@ -362,4 +385,4 @@ def test_unsat_verdicts_carry_a_dominating_core(fig1):
             c >= x for c, x in zip(verdict.core, (0, 5))
         )
     # the naive backend blames every assumption: the core is the query
-    assert SatOracle(fig1, "naive").solve_under_vector((0, 5)).core == (0, 5)
+    assert SatOracle(fig1, NaiveSolver).solve_under_vector((0, 5)).core == (0, 5)

@@ -15,7 +15,6 @@ from hswcsp import (
     parse_wcsp,
     read_trace,
     wcsp_to_text,
-    write_trace,
 )
 from hswcsp.wcsp_io import TRACE_HEADER, TRACE_KINDS, TRACE_SOURCES
 
@@ -147,7 +146,9 @@ events_strategy = st.lists(
 @given(events_strategy)
 def test_trace_roundtrip(events):
     buf = io.StringIO()
-    write_trace(events, buf, comments=["c"])
+    writer = TraceWriter(buf, comments=["c"])
+    for event in events:
+        writer.write(event)
     assert read_trace(buf.getvalue()) == list(events)
 
 
