@@ -7,14 +7,26 @@ integers (variable ids start at 1). Assumptions are enqueued as decisions
 on their own levels, so learned clauses stay valid across calls and the
 solver can be reused incrementally with different assumption sets.
 
+Values and watch lists are lists indexed by literal: `values[lit]` is 1
+when lit is true, -1 when it is false and 0 while its variable is
+unassigned, and `values[-v]` is the mirror of `values[v]`, kept at the
+end of the list by Python's negative indexing (new_var inserts the pair of
+slots in the middle). So reading a literal's value is one index, with no
+sign test. A variable's `reason` is only meaningful while it is assigned:
+backtracking leaves it stale, and every enqueue sets it.
+
 solve() returns True (model available) or False (unsatisfiable under the
 given assumptions), and raises SearchAborted when its should_stop
 predicate fires at a conflict. However it ends, a raise included, it
-leaves the solver at decision level 0, ready for add_clause. Every False
-answer also sets `conflict`, the failed assumptions: a subset of the
-assumption literals that is unsatisfiable on its own together with the
-clauses (MiniSat's analyzeFinal; Een & Sorensson, SAT 2003). It is found
-by walking the reasons of the falsified assumption back to the assumption
+leaves the solver at decision level 0, ready for add_clause. After a True
+answer, `model[v]` is 1 when variable v is true and -1 when it is false
+(`model[0]` is 0), and every variable not fixed at level 0 saves its model
+value as its phase; that exit resets the full trail with list operations
+instead of unassigning one variable at a time. Every False answer also
+sets `conflict`, the failed assumptions: a subset of the assumption
+literals that is unsatisfiable on its own together with the clauses
+(MiniSat's analyzeFinal; Een & Sorensson, SAT 2003). It is found by
+walking the reasons of the falsified assumption back to the assumption
 decisions, and is empty when the clauses are unsatisfiable at level 0.
 
 Misuse raises real exceptions, kept under `python -O`: an unknown variable
@@ -25,6 +37,7 @@ added mid-search (from a should_stop callback) is a RuntimeError.
 from __future__ import annotations
 
 from heapq import heapify, heappush, heappop
+from operator import neg
 from typing import Callable, Iterable, Sequence
 
 from .model import SearchAborted
@@ -65,8 +78,9 @@ class CdclSolver:
         self.ok = True
         self.clauses: list[_Clause] = []
         self.learned: list[_Clause] = []
-        self.watches: dict[int, list[_Clause]] = {}
-        self.assigns: list[int] = [0]  # 1 true, -1 false, 0 unassigned
+        # indexed by literal; see the module docstring
+        self.watches: list[list[_Clause]] = [[]]
+        self.values: list[int] = [0]
         self.level: list[int] = [0]
         self.reason: list[_Clause | None] = [None]
         self.trail: list[int] = []
@@ -87,39 +101,38 @@ class CdclSolver:
     def new_var(self) -> int:
         self.nvars += 1
         v = self.nvars
-        self.assigns.append(0)
+        # slots v and -v: the middle of a list of length 2 * v + 1
+        self.values[v:v] = (0, 0)
+        self.watches[v:v] = ([], [])
         self.level.append(0)
         self.reason.append(None)
         self.activity.append(0.0)
         self.polarity.append(-1)
         self.seen.append(0)
-        self.watches[v] = []
-        self.watches[-v] = []
         heappush(self.order, (0.0, v))
         return v
-
-    def _value(self, lit: int) -> int:
-        return self.assigns[lit] if lit > 0 else -self.assigns[-lit]
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a problem clause; call before or between solves (at level 0).
         Returns False once the formula is known unsatisfiable."""
         if self.trail_lim:
             raise RuntimeError("clauses must be added at decision level 0")
-        lits = sorted(set(lits), key=abs)
+        distinct = set(lits)
+        lits = sorted(distinct, key=abs)
         if lits and not 1 <= abs(lits[0]) <= abs(lits[-1]) <= self.nvars:
             raise ValueError(f"unknown variable in clause {lits}")
         if not self.ok:
             return False
+        if any(-lit in distinct for lit in lits):
+            return True  # tautology
+        values = self.values
         out: list[int] = []
         for lit in lits:
-            if -lit in set(out):
-                return True  # tautology
-            if self._value(lit) == 1 and self.level[abs(lit)] == 0:
+            # every assigned variable is fixed at level 0 here
+            if values[lit] == 1:
                 return True  # already satisfied forever
-            if self._value(lit) == -1 and self.level[abs(lit)] == 0:
-                continue  # permanently false literal drops out
-            out.append(lit)
+            if values[lit] == 0:
+                out.append(lit)  # a permanently false literal drops out
         if not out:
             self.ok = False
             return False
@@ -137,74 +150,116 @@ class CdclSolver:
     # --- trail ---
 
     def _enqueue(self, lit: int, reason: _Clause | None) -> None:
-        v = abs(lit)
-        self.assigns[v] = 1 if lit > 0 else -1
+        values = self.values
+        values[lit] = 1
+        values[-lit] = -1
+        v = lit if lit > 0 else -lit
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
 
     def _backtrack(self, target: int, requeue: bool = True) -> None:
-        """Undo every level above target. Unassigned variables go back on
-        the decision heap unless requeue is False, which only the exit from
-        solve passes: the next solve builds a fresh heap."""
-        if len(self.trail_lim) <= target:
+        """Undo every level above target, saving each unassigned variable's
+        value as its phase. Unassigned variables go back on the decision
+        heap unless requeue is False, which only the exits from solve pass:
+        the next solve builds a fresh heap."""
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target:
             return  # keep qhead: level-0 enqueues may still await propagation
-        while len(self.trail_lim) > target:
-            bound = self.trail_lim.pop()
-            for lit in self.trail[bound:]:
-                v = abs(lit)
-                self.polarity[v] = self.assigns[v]
-                self.assigns[v] = 0
-                self.reason[v] = None
-                if requeue:
-                    heappush(self.order, (-self.activity[v], v))
-            del self.trail[bound:]
-        self.qhead = min(self.qhead, len(self.trail))
+        bound = trail_lim[target]
+        del trail_lim[target:]
+        trail = self.trail
+        values = self.values
+        polarity = self.polarity
+        undone = trail[bound:]
+        del trail[bound:]
+        for lit in undone:
+            values[lit] = values[-lit] = 0
+            if lit > 0:
+                polarity[lit] = 1
+            else:
+                polarity[-lit] = -1
+        if requeue:
+            activity = self.activity
+            order = self.order
+            for lit in undone:
+                v = lit if lit > 0 else -lit
+                heappush(order, (-activity[v], v))
+        self.qhead = min(self.qhead, bound)
+
+    def _reset_after_model(self) -> None:
+        """_backtrack(0, requeue=False) for a trail that assigns every
+        variable, the state of a SAT exit: every phase above level 0 becomes
+        the model's value, and only the level-0 literals stay assigned."""
+        trail = self.trail
+        bound = self.trail_lim[0]
+        self.trail_lim.clear()
+        fixed = trail[:bound]
+        del trail[bound:]
+        polarity = self.polarity
+        saved = [polarity[lit if lit > 0 else -lit] for lit in fixed]
+        polarity[1:] = self.model[1:]
+        values = self.values
+        values[:] = [0] * len(values)
+        for lit, phase in zip(fixed, saved):
+            values[lit] = 1
+            values[-lit] = -1
+            polarity[lit if lit > 0 else -lit] = phase
+        self.qhead = min(self.qhead, bound)
 
     # --- propagation ---
 
     def _propagate(self) -> _Clause | None:
         trail = self.trail
-        assigns = self.assigns
+        values = self.values
         watches = self.watches
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            ws = watches[-p]
+        level = self.level
+        reason = self.reason
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            ws = watches[false_lit]
             i = j = 0
             n = len(ws)
             while i < n:
                 c = ws[i]
                 i += 1
                 lits = c.lits
-                if lits[0] == -p:
-                    lits[0] = lits[1]
-                    lits[1] = -p
                 first = lits[0]
-                v0 = assigns[first] if first > 0 else -assigns[-first]
+                if first == false_lit:
+                    first = lits[0] = lits[1]
+                    lits[1] = false_lit
+                v0 = values[first]
                 if v0 == 1:
                     ws[j] = c
                     j += 1
                     continue
                 for k in range(2, len(lits)):
                     lk = lits[k]
-                    if (assigns[lk] if lk > 0 else -assigns[-lk]) != -1:
+                    if values[lk] != -1:
                         lits[1] = lk
-                        lits[k] = -p
+                        lits[k] = false_lit
                         watches[lk].append(c)
                         break
                 else:
                     ws[j] = c
                     j += 1
                     if v0 == -1:
-                        while i < n:
-                            ws[j] = ws[i]
-                            j += 1
-                            i += 1
-                        del ws[j:]
+                        del ws[j:i]
+                        self.qhead = qhead
                         return c
-                    self._enqueue(first, c)
-            del ws[j:]
+                    # unit: enqueue first with reason c
+                    values[first] = 1
+                    values[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = lvl
+                    reason[v] = c
+                    trail.append(first)
+            if j < n:
+                del ws[j:]
+        self.qhead = qhead
         return None
 
     # --- conflict analysis ---
@@ -308,8 +363,10 @@ class CdclSolver:
     # --- learned clause management ---
 
     def _locked(self, c: _Clause) -> bool:
+        # a stale reason belongs to an unassigned variable, so the value
+        # test rejects it
         lit = c.lits[0]
-        return self.reason[abs(lit)] is c and self._value(lit) == 1
+        return self.reason[abs(lit)] is c and self.values[lit] == 1
 
     def _reduce_db(self) -> None:
         self.learned.sort(key=lambda c: c.act)
@@ -324,17 +381,6 @@ class CdclSolver:
         self.learned = keep
         self.max_learnts *= 1.3
 
-    # --- decisions ---
-
-    def _pick_var(self) -> int | None:
-        order = self.order
-        assigns = self.assigns
-        while order:
-            _, v = heappop(order)
-            if assigns[v] == 0:
-                return v
-        return None
-
     # --- main loop ---
 
     def solve(
@@ -342,30 +388,39 @@ class CdclSolver:
         assumptions: Sequence[int] = (),
         should_stop: Callable[[], bool] | None = None,
     ) -> bool:
+        nvars = self.nvars
         for p in assumptions:
-            if not 1 <= abs(p) <= self.nvars:
+            if not 1 <= abs(p) <= nvars:
                 raise ValueError(f"unknown assumption literal {p}")
         self.conflict = []
         if not self.ok:
             return False
-        # fresh heap per call; lazy duplicates would otherwise pile up
-        self.order = [
-            (-self.activity[v], v)
-            for v in range(1, self.nvars + 1)
-            if self.assigns[v] == 0
-        ]
-        heapify(self.order)
+        # fresh heap per call; lazy duplicates would otherwise pile up.
+        # Variables fixed at level 0 go in too: they are never picked, so
+        # the decisions are those of a heap without them.
+        order = self.order = list(
+            zip(map(neg, self.activity[1:]), range(1, nvars + 1))
+        )
+        heapify(order)
+        values = self.values
+        polarity = self.polarity
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        trail_lim = self.trail_lim
+        num_assumptions = len(assumptions)
+        propagate = self._propagate
         since_restart = 0
         restart_idx = 0
         limit = _luby(0) * self.RESTART_BASE
         try:
             while True:
-                confl = self._propagate()
+                confl = propagate()
                 if confl is not None:
                     since_restart += 1
                     if should_stop is not None and should_stop():
                         raise SearchAborted("sat search interrupted")
-                    if not self.trail_lim:
+                    if not trail_lim:
                         self.ok = False
                         return False
                     learnt, bt = self._analyze(confl)
@@ -388,30 +443,36 @@ class CdclSolver:
                     limit = _luby(restart_idx) * self.RESTART_BASE
                     self._backtrack(0)
                     continue
-                if len(self.learned) >= self.max_learnts + len(self.trail):
+                if len(self.learned) >= self.max_learnts + len(trail):
                     self._reduce_db()
-                lvl = len(self.trail_lim)
-                if lvl < len(assumptions):
-                    p = assumptions[lvl]
-                    vp = self._value(p)
-                    if vp == 1:
-                        self.trail_lim.append(len(self.trail))
-                        continue
-                    if vp == -1:
-                        self.conflict = self._analyze_final(p)
+                # open a level: the next assumption, else a decision
+                lvl = len(trail_lim)
+                if lvl < num_assumptions:
+                    lit = assumptions[lvl]
+                    if values[lit] == -1:
+                        self.conflict = self._analyze_final(lit)
                         return False
-                    self.trail_lim.append(len(self.trail))
-                    self._enqueue(p, None)
-                    continue
-                v = self._pick_var()
-                if v is None:
-                    self.model = list(self.assigns)
-                    return True
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(v if self.polarity[v] > 0 else -v, None)
+                    trail_lim.append(len(trail))
+                    if values[lit] == 1:
+                        continue
+                else:
+                    while order:
+                        v = heappop(order)[1]
+                        if values[v] == 0:
+                            break
+                    else:
+                        self.model = values[: nvars + 1]
+                        if trail_lim:
+                            self._reset_after_model()
+                        return True
+                    lit = v if polarity[v] > 0 else -v
+                    trail_lim.append(len(trail))
+                values[lit] = 1
+                values[-lit] = -1
+                v = lit if lit > 0 else -lit
+                level[v] = lvl + 1
+                reason[v] = None
+                trail.append(lit)
         finally:
             # every exit, an exception's too, leaves level 0
             self._backtrack(0, requeue=False)
-
-    def model_value(self, var: int) -> bool:
-        return self.model[var] == 1

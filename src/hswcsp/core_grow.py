@@ -77,7 +77,8 @@ def maximal_core(
             verdict = oracle.solve_under_vector(vector, should_stop=should_stop)
         return verdict
 
-    v = list(w.validate_vector(h))
+    v = list(h)
+    idx = w.level_indices(v)  # checks that h is a vector of levels
     first = ask(v)
     if first.satisfiable:
         if offer_ub is not None:
@@ -85,7 +86,6 @@ def maximal_core(
         return None
     bound = first.core  # v <= bound throughout, and bound is a core
 
-    idx = [f.index[c] for f, c in zip(funcs, v)]
     settled = [False] * len(v)
     while True:
         order = sorted(

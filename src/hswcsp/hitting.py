@@ -93,7 +93,7 @@ class HittingProblem:
         self.m = len(self.levels)
         self.max_idx = tuple(len(ls) - 1 for ls in self.levels)
         self._index_of = [{c: i for i, c in enumerate(ls)} for ls in self.levels]
-        self.cores: tuple[tuple[int, ...], ...] = ()
+        self.cores: list[tuple[int, ...]] = []
         self.core_steps: list[tuple[tuple[int, int, int, int], ...]] = []
         self.core_untouched: list[tuple[int, int, int]] = []
         self.below = [[0] * len(ls) for ls in self.levels]
@@ -109,7 +109,7 @@ class HittingProblem:
         before any is appended.
         """
         new = [self._encode(k) for k in pool]
-        cores = list(self.cores)
+        cores = self.cores
         levels = self.levels
         for k in new:
             if k in self._seen:
@@ -130,7 +130,6 @@ class HittingProblem:
                 min((lv - levels[i][0] for i, _, lv, _ in steps), default=0),
             ))
             self.saturated = self.saturated or not up
-        self.cores = tuple(cores)
 
     def _encode(self, core: Sequence[int]) -> tuple[int, ...]:
         core = tuple(core)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 INF = float("inf")
 
@@ -20,6 +21,16 @@ _COST_LIMIT = 2**63  # keep sums comfortably inside 64 bits
 
 class SearchAborted(RuntimeError):
     """Raised by long-running searches when a stop callback fires."""
+
+
+def _scope_key(scope: tuple[int, ...]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The function mapping an assignment to its values on scope, as a
+    tuple: itemgetter, except on a unary scope, where itemgetter(x) would
+    return the bare value."""
+    if len(scope) == 1:
+        (x,) = scope
+        return lambda a: (a[x],)
+    return itemgetter(*scope)
 
 
 def _check_scope(scope: Sequence[int], num_vars: int) -> tuple[int, ...]:
@@ -42,7 +53,12 @@ class HardConstraint:
     forbidden: frozenset[tuple[int, ...]]
 
     def forbids(self, assignment: Sequence[int]) -> bool:
-        return tuple(assignment[x] for x in self.scope) in self.forbidden
+        return self.key(assignment) in self.forbidden
+
+    @cached_property
+    def key(self) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        """An assignment's value tuple on the scope."""
+        return _scope_key(self.scope)
 
 
 @dataclass(frozen=True)
@@ -60,7 +76,12 @@ class CostFunction:
     levels: tuple[int, ...]
 
     def cost(self, assignment: Sequence[int]) -> int:
-        return self.table[tuple(assignment[x] for x in self.scope)]
+        return self.table[self.key(assignment)]
+
+    @cached_property
+    def key(self) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        """An assignment's value tuple on the scope: its key in `table`."""
+        return _scope_key(self.scope)
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -210,12 +231,22 @@ class Wcsp:
 
     def validate_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         v = tuple(v)
+        self.level_indices(v)
+        return v
+
+    def level_indices(self, v: Sequence[int]) -> list[int]:
+        """The position of each component of v in its function's levels.
+        Raises ValueError unless v is a vector of levels."""
         if len(v) != self.m:
             raise ValueError(f"vector length {len(v)} != m={self.m}")
-        for f, c in zip(self.cost_functions, v):
-            if c not in f.index:
-                raise ValueError(f"{c} is not a level of function {f.scope}")
-        return v
+        try:
+            return [f.index[c] for f, c in zip(self.cost_functions, v)]
+        except KeyError:
+            for f, c in zip(self.cost_functions, v):
+                if c not in f.index:
+                    msg = f"{c} is not a level of function {f.scope}"
+                    raise ValueError(msg) from None
+            raise
 
     def evaluate(self, a: Sequence[int]) -> Evaluation:
         """Total cost, per-function costs, and feasibility of an assignment.
@@ -224,9 +255,9 @@ class Wcsp:
         sits at top; per-function costs are reported raw either way.
         """
         a = self.validate_assignment(a)
-        per = tuple(f.cost(a) for f in self.cost_functions)
-        feasible = all(c < self.top for c in per) and not any(
-            hc.forbids(a) for hc in self.hard_constraints
+        per = tuple([f.table[f.key(a)] for f in self.cost_functions])
+        feasible = max(per) < self.top and not any(
+            hc.key(a) in hc.forbidden for hc in self.hard_constraints
         )
         return Evaluation(sum(per), per, feasible)
 

@@ -27,11 +27,15 @@ set of verdicts that settle v; the lowest set bit answers, so the answer
 is deterministic. Each distinct solution cost vector and each distinct
 core is remembered once. `solve_under_vector` records and never recalls:
 it always asks the backend, so its calls and the backend's match one to
-one.
+one. Both check their vector in the one pass that maps it to level indices
+(`Wcsp.level_indices`), which also serves the query: the selector slices
+of `assumptions_for`, or the memory's masks.
 
-A backend is a factory: anything that builds an object with
-new_var/add_clause/model_value, a `conflict` list, and a solve that
-answers True or False or raises SearchAborted. The default is the
+A backend is a factory: anything that builds an object with new_var,
+add_clause, a solve that answers True or False or raises SearchAborted,
+and two lists it sets: `model` after a True answer (`model[v]` is 1 when
+variable v is true, -1 when it is false) and `conflict` after a False
+one. A witness is decoded straight from `model`. The default is the
 CdclSolver class; the NaiveSolver class, a backtracking solver kept for
 differential testing, reports every assumption as failed.
 """
@@ -63,6 +67,8 @@ class OracleVerdict:
 
 
 class SatBackend(Protocol):
+    # after a True solve: model[v] is 1 when variable v is true, else -1
+    model: list[int]
     # after a False solve: assumption literals that are UNSAT on their own
     conflict: list[int]
 
@@ -75,8 +81,6 @@ class SatBackend(Protocol):
         assumptions: Sequence[int] = (),
         should_stop: Callable[[], bool] | None = None,
     ) -> bool: ...
-
-    def model_value(self, var: int) -> bool: ...
 
 
 class NaiveSolver:
@@ -179,18 +183,17 @@ class NaiveSolver:
             return True
         return False
 
-    def model_value(self, var: int) -> bool:
-        return self.model[var] == 1
-
 
 class Encoding:
     """Variable numbering and clause lists for one instance.
 
     Owns the maps from (csp variable, value) to boolean ids and from
     (function, level index >= 1) to selector ids: `selector_var[i][j - 1]`
-    is s(i, j). Base clauses are the exactly-one groups plus
-    hard-constraint forbids; guarded clauses tie each non-minimum-cost
-    tuple to its level selector.
+    is s(i, j). The value booleans come first, each variable's on
+    consecutive ids, so `decode` reads a variable off one slice of a
+    model. Base clauses are the exactly-one groups plus hard-constraint
+    forbids; guarded clauses tie each non-minimum-cost tuple to its level
+    selector.
     """
 
     def __init__(self, w: Wcsp):
@@ -236,11 +239,11 @@ class Encoding:
 
     def assumptions_for(self, v: Sequence[int]) -> list[int]:
         """Selector literals asserting f_i <= v_i for every function: the
-        s(i, j) of every level levels[j] above v_i, in function order. v
-        must be a vector of levels."""
+        s(i, j) of every level levels[j] above v_i, in function order.
+        Raises ValueError unless v is a vector of levels."""
         out = []
-        for f, sel, vi in zip(self.w.cost_functions, self.selector_var, v):
-            out += sel[f.index[vi]:]
+        for sel, t in zip(self.selector_var, self.w.level_indices(v)):
+            out += sel[t:]
         return out
 
     def core_for(self, failed: Sequence[int]) -> tuple[int, ...]:
@@ -259,14 +262,15 @@ class Encoding:
                 core[i] = below
         return tuple(core)
 
-    def decode(self, model_value: Callable[[int], bool]) -> tuple[int, ...]:
-        """Read a CSP assignment off a propositional model."""
+    def decode(self, model: Sequence[int]) -> tuple[int, ...]:
+        """Read a CSP assignment off a propositional model, a backend's
+        `model` list (true variables hold 1)."""
         out = []
-        for x, d in enumerate(self.w.domains):
-            chosen = [a for a in range(d) if model_value(self.value_var[x][a])]
-            if len(chosen) != 1:
-                raise RuntimeError(f"variable {x} holds {len(chosen)} values")
-            out.append(chosen[0])
+        for x, vv in enumerate(self.value_var):
+            row = model[vv[0]:vv[-1] + 1]
+            if row.count(1) != 1:
+                raise RuntimeError(f"variable {x} holds {row.count(1)} values")
+            out.append(row.index(1))
         return tuple(out)
 
 
@@ -307,9 +311,7 @@ class SatOracle:
             return OracleVerdict(
                 False, None, self.encoding.core_for(self.solver.conflict)
             )
-        return OracleVerdict(
-            True, self.encoding.decode(self.solver.model_value), None
-        )
+        return OracleVerdict(True, self.encoding.decode(self.solver.model), None)
 
     def solve_csp(
         self, should_stop: Callable[[], bool] | None = None
@@ -322,7 +324,7 @@ class SatOracle:
     ) -> OracleVerdict:
         """SAT iff v is a solution vector of the instance. An UNSAT verdict's
         core dominates v."""
-        v = self.w.validate_vector(v)
+        v = tuple(v)
         verdict = self._run(self.encoding.assumptions_for(v), should_stop)
         if verdict.satisfiable:
             ev = self.w.evaluate(verdict.witness)
@@ -330,9 +332,9 @@ class SatOracle:
                 c > vi for c, vi in zip(ev.per_function, v)
             ):
                 raise RuntimeError("witness does not respect the queried bounds")
-            self._remember_solution(verdict.witness, tuple(ev.per_function))
+            self._remember_solution(verdict.witness, ev.per_function)
         elif any(c < vi for c, vi in zip(verdict.core, v)):
-            raise RuntimeError(f"core {verdict.core} does not dominate {tuple(v)}")
+            raise RuntimeError(f"core {verdict.core} does not dominate {v}")
         else:
             self._remember_core(verdict.core)
         return verdict
@@ -345,8 +347,8 @@ class SatOracle:
         self._seen.add(cost)
         bit = 1 << len(self.solutions)
         self.solutions.append((witness, cost))
-        for row, f, c in zip(self.fits, self.w.cost_functions, cost):
-            for t in range(f.index[c], len(row)):
+        for row, first in zip(self.fits, self.w.level_indices(cost)):
+            for t in range(first, len(row)):
                 row[t] |= bit
 
     def _remember_core(self, core: tuple[int, ...]) -> None:
@@ -355,8 +357,8 @@ class SatOracle:
         self._seen.add(core)
         bit = 1 << len(self.cores)
         self.cores.append(core)
-        for row, f, c in zip(self.under, self.w.cost_functions, core):
-            for t in range(f.index[c] + 1):
+        for row, last in zip(self.under, self.w.level_indices(core)):
+            for t in range(last + 1):
                 row[t] |= bit
 
     def recall(self, v: Sequence[int]) -> OracleVerdict | None:
@@ -364,8 +366,8 @@ class SatOracle:
         remembered solution whose cost vector fits under v (SAT), else the
         earliest remembered core that dominates v (UNSAT). Never calls the
         backend."""
-        v = self.w.validate_vector(v)
-        ts = [f.index[c] for f, c in zip(self.w.cost_functions, v)]
+        v = tuple(v)
+        ts = self.w.level_indices(v)
         fit = (1 << len(self.solutions)) - 1
         for row, t in zip(self.fits, ts):
             if not fit:

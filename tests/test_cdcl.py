@@ -6,6 +6,11 @@ so a later SAT answer could leave it unassigned or report a model that
 breaks a clause. A restart base of 2 makes the Luby schedule restart after
 every few conflicts, and random 3-SAT at a clause/variable ratio of 4.2,
 near the satisfiability threshold, gives the conflicts.
+
+A SAT answer resets the whole trail at once. After it the solver must be
+back at level 0 with only its level-0 literals assigned, and every other
+variable must have saved its model value as its phase, as a backtrack one
+variable at a time would have left it.
 """
 
 import random
@@ -33,10 +38,17 @@ def test_models_are_total_and_satisfying_under_frequent_restarts():
                 v if rng.random() < 0.5 else -v
                 for v in rng.sample(range(1, nvars + 1), rng.randint(0, 6))
             ]
-            if not solver.solve(assumptions):
+            answer = solver.solve(assumptions)
+            assert not solver.trail_lim
+            if not answer:
                 continue
             sat += 1
             model = solver.model
+            # at level 0 the trail holds just the literals fixed there
+            assert all(model[abs(lit)] == (1 if lit > 0 else -1) for lit in solver.trail)
+            fixed = {abs(lit) for lit in solver.trail}
+            free = [v for v in range(1, nvars + 1) if v not in fixed]
+            assert all(solver.polarity[v] == model[v] for v in free)
             assert all(model[v] != 0 for v in range(1, nvars + 1))
             assert all(any(model[abs(lit)] == (1 if lit > 0 else -1) for lit in c) for c in clauses)
             assert all(model[abs(lit)] == (1 if lit > 0 else -1) for lit in assumptions)

@@ -26,7 +26,7 @@ def test_problem_drops_duplicates_and_keeps_dominated_cores():
     p = HittingProblem(FIG1_LEVELS, [(5, 0), (5, 5), (5, 5), (0, 5)])
     # (5,0) and (0,5) are componentwise below (5,5): redundant, not wrong,
     # so they stay, in first-appearance order; the repeated (5,5) goes
-    assert p.cores == ((1, 0), (1, 1), (0, 1))
+    assert p.cores == [(1, 0), (1, 1), (0, 1)]
     p.add_cores([(0, 5), (20, 0)])
     assert [p.vector_at(k) for k in p.cores] == [(5, 0), (5, 5), (0, 5), (20, 0)]
     assert min_cost_hitting_vector(p) == min_cost_hitting_vector(
@@ -229,7 +229,7 @@ def test_add_cores_matches_fresh_build():
     for _ in range(400):
         levels, pool = _random_growing_pool(rng, saturated_ok=True)
         whole = HittingProblem(levels, pool)
-        assert whole.cores == _first_appearance(levels, pool)
+        assert whole.cores == list(_first_appearance(levels, pool))
         for i, masks in enumerate(whole.below):
             for t, mask in enumerate(masks):
                 assert mask == sum(1 << ci for ci, k in enumerate(whole.cores) if k[i] < t)

@@ -1,9 +1,12 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hswcsp import Wcsp, cost_of_vector, hits, leq
-from hswcsp.model import CostFunction, HardConstraint, is_pure_hard
+from hswcsp import Wcsp, cost_of_vector, generate, hits, leq, parse_wcsp
+from hswcsp.model import CostFunction, Evaluation, HardConstraint, is_pure_hard
 
 
 def test_fig1_shape(fig1):
@@ -101,6 +104,65 @@ def test_hard_constraint_forbids():
     hc = HardConstraint((1,), frozenset({(0,)}))
     assert hc.forbids((5, 0))
     assert not hc.forbids((5, 1))
+
+
+def _random_build(rng: random.Random) -> Wcsp:
+    """Random tables of arity 1 to 3 with some costs at or above top, so
+    that Wcsp.build lifts them; the last function is unary and all sub-top."""
+    n = rng.randint(1, 4)
+    doms = [rng.randint(1, 3) for _ in range(n)]
+
+    def tuples(scope):
+        return itertools.product(*(range(doms[x]) for x in scope))
+
+    scopes = [rng.sample(range(n), rng.randint(1, min(n, 3))) for _ in range(3)]
+    funcs = [
+        (scope, {t: rng.choice((0, 1, 2, 5, 9)) for t in tuples(scope)})
+        for scope in scopes
+    ]
+    funcs.append(((0,), {(a,): a for a in range(doms[0])}))
+    hard = [
+        (scope, [t for t in tuples(scope) if rng.random() < 0.3])
+        for scope in rng.sample(scopes, 2)
+    ]
+    return Wcsp.build(n, doms, funcs, hard, top=5)
+
+
+def test_evaluate_agrees_with_a_per_variable_reference(corpus):
+    """cost, forbids and evaluate read a scope's values through a cached
+    itemgetter key; the reference reads them one variable at a time. On a
+    unary scope itemgetter(x) returns the bare value, not a tuple, so the
+    instances include unary functions and hard constraints, tables at top,
+    and the all-zero unary function that a CSP-only file gets."""
+    rng = random.Random(2501)
+    instances = [w for w, _ in corpus[:40]]
+    instances += [
+        generate(seed=s, num_vars=4, max_dom=3, num_funcs=4, max_arity=arity,
+                 cost_range=3, hard_density=0.5)
+        for s in range(10)
+        for arity in (1, 2, 3)
+    ]
+    instances += [_random_build(rng) for _ in range(40)]
+    instances.append(parse_wcsp("p 2 2 1 10\n2 2\n2 0 1 0 1\n0 0 10\n"))
+    scopes = [c.scope for w in instances for c in w.cost_functions + w.hard_constraints]
+    assert any(len(s) == 1 for s in scopes) and any(len(s) == 3 for s in scopes)
+    assert any(
+        not w.evaluate(a).feasible for w in instances for a in w.assignments()
+    )
+    for w in instances:
+        for a in w.assignments():
+            per = []
+            for f in w.cost_functions:
+                c = f.table[tuple(a[x] for x in f.scope)]
+                assert f.cost(a) == f.cost(list(a)) == c
+                per.append(c)
+            forbidden = False
+            for hc in w.hard_constraints:
+                hit = tuple(a[x] for x in hc.scope) in hc.forbidden
+                assert hc.forbids(a) == hc.forbids(list(a)) == hit
+                forbidden = forbidden or hit
+            feasible = all(c < w.top for c in per) and not forbidden
+            assert w.evaluate(a) == Evaluation(sum(per), tuple(per), feasible)
 
 
 def test_level_table_inverts_levels(fig1, corpus):

@@ -112,7 +112,7 @@ def test_naive_solver_basics():
     assert s.add_clause([a, b])
     assert s.add_clause([-a, b])
     assert s.solve()
-    assert s.model_value(b)
+    assert s.model[b] == 1
     # tautologies are dropped, empty clause kills the instance
     assert s.add_clause([a, -a])
     assert not s.add_clause([])
@@ -309,10 +309,11 @@ def test_check_recalled_core_dominates(fig1):
 
 
 def test_check_decode_one_hot(fig1):
+    enc = Encoding(fig1)
     with pytest.raises(RuntimeError, match="holds 2 values"):
-        Encoding(fig1).decode(lambda var: True)
+        enc.decode([1] * (enc.num_vars + 1))
     with pytest.raises(RuntimeError, match="holds 0 values"):
-        Encoding(fig1).decode(lambda var: False)
+        enc.decode([-1] * (enc.num_vars + 1))
 
 
 def test_check_cdcl_clause_variables_are_known():
@@ -359,7 +360,7 @@ def test_solver_is_usable_after_a_raising_stop_poll():
         s.solve([a], should_stop=stop)
     assert s.add_clause([c, b])
     assert not s.solve([a, -c]) and s.conflict == [a]
-    assert s.solve([-c]) and s.model_value(b) and not s.model_value(a)
+    assert s.solve([-c]) and s.model[b] == 1 and s.model[a] == -1
 
 
 def test_optimized_mode_keeps_checks():

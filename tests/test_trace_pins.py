@@ -21,12 +21,21 @@ The CDCL call counts pin the work of the SAT side: the number of
 `CdclSolver.solve` calls over the whole solve, seeding's included. They
 move when core growth skips or recalls a different set of probes.
 
+The SAT transcripts pin what the SAT side answers: a digest of every
+`CdclSolver.solve` call of the solve, in order, each as its assumptions,
+its answer, and the model's true variables (SAT) or the failed
+assumptions (UNSAT). A change to the solver's internals that keeps every
+answer, model and `conflict` keeps every transcript; one that changes the
+decision order, the phases or the learned clauses will usually move one,
+even where the trace digests hold.
+
 To re-pin, run this file as a script from the repository root:
 
     python3 tests/test_trace_pins.py
 
-It solves every pinned case once and prints PINNED, NODES and CDCL_CALLS
-in this file's format, ready to paste over the tables below.
+It solves every pinned case once and prints PINNED, NODES, CDCL_CALLS and
+SAT_TRANSCRIPTS in this file's format, ready to paste over the tables
+below.
 """
 
 import hashlib
@@ -106,9 +115,10 @@ NODES = {
 
 
 def measured_solve(instance: str, strategy: str):
-    """Solve one pinned case; return the result, its search-node count and
-    its CDCL call count."""
+    """Solve one pinned case; return the result, its search-node count, its
+    CDCL call count and the digest of its SAT transcript."""
     nodes = calls = 0
+    transcript = []
     make_poll = hitting._make_stop_poll
     solve = cdcl.CdclSolver.solve
 
@@ -123,21 +133,28 @@ def measured_solve(instance: str, strategy: str):
 
         return counted
 
-    def counted_solve(self, *args, **kwargs):
+    def counted_solve(self, assumptions=(), should_stop=None):
         nonlocal calls
         calls += 1
-        return solve(self, *args, **kwargs)
+        answer = solve(self, assumptions, should_stop)
+        if answer:
+            out = [v for v in range(1, self.nvars + 1) if self.model[v] == 1]
+        else:
+            out = list(self.conflict)
+        transcript.append((list(assumptions), answer, out))
+        return answer
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hitting, "_make_stop_poll", counting)
         mp.setattr(cdcl.CdclSolver, "solve", counted_solve)
         r = STRATEGIES[strategy](generate(**INSTANCES[instance]))
-    return r, nodes, calls
+    digest = hashlib.sha256(repr(transcript).encode()).hexdigest()[:16]
+    return r, nodes, calls, digest
 
 
 @pytest.mark.parametrize("instance, strategy", list(NODES))
 def test_search_node_count_pinned(instance, strategy):
-    r, nodes, _ = measured_solve(instance, strategy)
+    r, nodes, _, _ = measured_solve(instance, strategy)
     assert r.status == OPTIMAL
     assert nodes == NODES[instance, strategy]
 
@@ -160,18 +177,41 @@ CDCL_CALLS = {
 
 @pytest.mark.parametrize("instance, strategy", list(CDCL_CALLS))
 def test_cdcl_call_count_pinned(instance, strategy):
-    r, _, calls = measured_solve(instance, strategy)
+    r, _, calls, _ = measured_solve(instance, strategy)
     assert r.status == OPTIMAL
     assert calls == CDCL_CALLS[instance, strategy]
 
 
+SAT_TRANSCRIPTS = {
+    ("soft", "hs_lb"): "891fec1ffc6dbdc2",
+    ("soft", "hs_ub"): "65841b5f079a649e",
+    ("soft", "hs_lub_det"): "678691691baea0ce",
+    ("hard", "hs_lb"): "f8275fbb01095bb0",
+    ("hard", "hs_ub"): "6491ec917b3508f3",
+    ("hard", "hs_lub_det"): "85c85bb92c58074a",
+    ("soft", "hs_lb+seed"): "4704787ef1c926d5",
+    ("soft", "hs_ub+seed"): "67d85d4c8952cebf",
+    ("soft", "hs_lub_det+seed"): "25e749b3f3856952",
+    ("hard", "hs_lb+seed"): "f9a55f8a91b0d911",
+    ("hard", "hs_ub+seed"): "45f75f43b6fd9d65",
+    ("hard", "hs_lub_det+seed"): "2124412a553cca4f",
+}
+
+
+@pytest.mark.parametrize("instance, strategy", list(SAT_TRANSCRIPTS))
+def test_sat_transcript_pinned(instance, strategy):
+    r, _, _, digest = measured_solve(instance, strategy)
+    assert r.status == OPTIMAL
+    assert digest == SAT_TRANSCRIPTS[instance, strategy]
+
+
 def print_pins() -> None:
-    """Print PINNED, NODES and CDCL_CALLS as measured on this tree."""
-    rows, nodes, calls = [], {}, {}
+    """Print PINNED, NODES, CDCL_CALLS and SAT_TRANSCRIPTS as measured on
+    this tree."""
+    rows, nodes, calls, transcripts = [], {}, {}, {}
     for instance, strategy, _, _ in PINNED:
-        r, nodes[instance, strategy], calls[instance, strategy] = measured_solve(
-            instance, strategy
-        )
+        key = instance, strategy
+        r, nodes[key], calls[key], transcripts[key] = measured_solve(*key)
         if r.status != OPTIMAL:
             raise SystemExit(f"{instance} {strategy}: status {r.status}, not OPTIMAL")
         rows.append((instance, strategy, r.optimum, trace_digest(r)))
@@ -179,10 +219,12 @@ def print_pins() -> None:
     for row in rows:
         print(f"    {row!r},".replace("'", '"'))
     print("]")
-    for name, table in (("NODES", nodes), ("CDCL_CALLS", calls)):
+    for name, table in (
+        ("NODES", nodes), ("CDCL_CALLS", calls), ("SAT_TRANSCRIPTS", transcripts)
+    ):
         print(f"\n{name} = {{")
-        for key, count in table.items():
-            print(f"    {key!r}: {count},".replace("'", '"'))
+        for key, value in table.items():
+            print(f"    {key!r}: {value!r},".replace("'", '"'))
         print("}")
 
 
