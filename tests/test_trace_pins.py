@@ -38,6 +38,7 @@ SAT_TRANSCRIPTS in this file's format, ready to paste over the tables
 below.
 """
 
+import functools
 import hashlib
 import pathlib
 import sys
@@ -114,9 +115,11 @@ NODES = {
 }
 
 
+@functools.cache
 def measured_solve(instance: str, strategy: str):
     """Solve one pinned case; return the result, its search-node count, its
-    CDCL call count and the digest of its SAT transcript."""
+    CDCL call count and the digest of its SAT transcript. Cached: the
+    three tests that read a case's counts share one solve."""
     nodes = calls = 0
     transcript = []
     make_poll = hitting._make_stop_poll
