@@ -186,7 +186,7 @@ def seed_disjoint_cores(
     Returns the number of cores added.
     """
     if oracle is None:
-        oracle = SatOracle(w)
+        oracle = SatOracle(w, should_stop=should_stop)
     mins, maxs = w.min_vector(), w.max_vector()
     used: set[int] = set()
     added: list[tuple[int, ...]] = []
@@ -303,7 +303,7 @@ def _solve(
     infeasible = False
     try:
         if not halt():
-            oracle = SatOracle(w)
+            oracle = SatOracle(w, should_stop=halt)
             if not oracle.solve_csp(should_stop=halt).satisfiable:
                 infeasible = True
             else:

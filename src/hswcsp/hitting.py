@@ -32,12 +32,17 @@ check; a successful check yields a completion that becomes the new
 witness. A check is the same branch-and-bound search, run on the same
 persistent problem with the prefix fixed; no reduced problem is built.
 
-A search node keeps the cores its vector leaves unhit as one int, so it
-reads only those. It prunes on a packing bound, the cheapest raises owed
-by unhit cores that share no raise option, packed once in kept order and,
-when that does not prune, once more dearest first. The search keeps its
-nodes on an explicit stack, so a pool that forces one raise per component
-searches as deep as it needs to.
+A search node keeps one entry per core its vector leaves unhit: the
+core's raise options and its cheapest raise. A child differs from its
+parent by one raise and by the caps of its earlier siblings, so it builds
+its entries from its parent's in one pass: it drops the cores the raise
+hits, recounts only the cores that a sibling cap touches, lowers the
+cheapest raise of the cores with an option on the raised component, and
+keeps the rest as they are. The node prunes on a packing bound, the
+cheapest raises owed by unhit cores that share no raise option, packed
+once in kept order and, when that does not prune, once more dearest
+first. The search keeps its nodes on an explicit stack, so a pool that
+forces one raise per component searches as deep as it needs to.
 """
 
 from __future__ import annotations
@@ -66,8 +71,9 @@ class HittingProblem:
     `core_steps`, one (i, t, level value, 1 << i) per component i that can
     still be raised above the core, where t is the level index just above
     it (no steps means nothing hits the core, and sets `saturated`);
-    `core_untouched`, the (component
-    mask, count, cheapest increment) of its raise options from the lowest
+    `core_above`, the map from each such i to that level value;
+    `core_untouched`, the core's search entry (-cheapest increment, count,
+    core index, component mask) of its raise options from the lowest
     levels with no cap; and the masks `below[i][t]`, whose bit ci is set
     when raising component i to level index t hits core ci. Adding a core
     costs O(m * levels).
@@ -95,7 +101,8 @@ class HittingProblem:
         self._index_of = [{c: i for i, c in enumerate(ls)} for ls in self.levels]
         self.cores: list[tuple[int, ...]] = []
         self.core_steps: list[tuple[tuple[int, int, int, int], ...]] = []
-        self.core_untouched: list[tuple[int, int, int]] = []
+        self.core_above: list[dict[int, int]] = []
+        self.core_untouched: list[tuple[int, int, int, int]] = []
         self.below = [[0] * len(ls) for ls in self.levels]
         self._seen: set[tuple[int, ...]] = set()
         self.saturated = False
@@ -115,7 +122,8 @@ class HittingProblem:
             if k in self._seen:
                 continue
             self._seen.add(k)
-            bit = 1 << len(cores)
+            ci = len(cores)
+            bit = 1 << ci
             up = tuple(i for i in range(self.m) if k[i] < self.max_idx[i])
             for i in up:
                 masks = self.below[i]
@@ -124,10 +132,12 @@ class HittingProblem:
             steps = tuple((i, k[i] + 1, levels[i][k[i] + 1], 1 << i) for i in up)
             cores.append(k)
             self.core_steps.append(steps)
+            self.core_above.append({i: lv for i, _, lv, _ in steps})
             self.core_untouched.append((
-                sum(1 << i for i in up),
+                -min((lv - levels[i][0] for i, _, lv, _ in steps), default=0),
                 len(steps),
-                min((lv - levels[i][0] for i, _, lv, _ in steps), default=0),
+                ci,
+                sum(1 << i for i in up),
             ))
             self.saturated = self.saturated or not up
 
@@ -160,6 +170,16 @@ def _make_stop_poll(should_stop: Callable[[], bool] | None) -> Callable[[], None
             raise SearchAborted("hitting search interrupted")
 
     return poll
+
+
+def _untouched_entries(
+    p: HittingProblem, cores: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """`p.core_untouched` of each core in the int `cores`, in kept order."""
+    while cores:
+        low = cores & -cores
+        cores ^= low
+        yield p.core_untouched[low.bit_length() - 1]
 
 
 def _branch_and_bound(
@@ -196,11 +216,18 @@ def _branch_and_bound(
 
     The cores the current vector leaves unhit are one int, bit ci for
     core ci. A child that raises component i to level index t clears
-    `p.below[i][t]` from it and the parent restores it when resumed, so a
-    node reads only unhit cores, walking their bits in ascending order,
-    which is kept order. A core none of whose raisable components has been
-    raised or capped yet has the options in `p.core_untouched`; only the
-    others are recounted.
+    `p.below[i][t]` from it and the parent restores it when resumed. Each
+    node builds its entries, (-cheapest increment, option count, ci,
+    component mask of the options) of each unhit core in kept order, and
+    passes the list to its children, so the list stays alive while they
+    run. The root reads `p.core_untouched` and recounts only the cores
+    with an option on a prefix component. A child walks its parent's
+    entries once: it skips the cores its raise hits, recounts only the
+    cores with an option on a component an earlier sibling capped (and is
+    pruned on one left with none), lowers the cheapest increment of the
+    cores with an option on the raised component to that option's, since a
+    raise removes no option and only makes one cheaper, and keeps every
+    other entry as it is; in the same pass it packs and picks.
 
     With a `prefix` the search covers only vectors that start with it: the
     prefix components start and are capped at its levels, so only the
@@ -209,13 +236,15 @@ def _branch_and_bound(
     either way.
 
     Nodes are generators driven from an explicit stack: a node yields the
-    cost of each child it wants searched and, when resumed, reads the
-    child's result from `returned`, so the depth of the tree (one level
-    per raise) is not limited by the interpreter's recursion limit. Nodes
-    return None, so next() ends each with its default instead of a
-    StopIteration that the stack loop would have to catch.
+    arguments of each child it wants searched (its cost, the node's
+    entries, the sibling caps, the cores the raise hits and the raised
+    component) and, when resumed, reads the child's result from
+    `returned`, so the depth of the tree (one level per raise) is not
+    limited by the interpreter's recursion limit. Nodes return None, so
+    next() ends each with its default instead of a StopIteration that the
+    stack loop would have to catch.
     """
-    levels, steps, below = p.levels, p.core_steps, p.below
+    levels, steps, below, above = p.levels, p.core_steps, p.below, p.core_above
     v = [*prefix, *[0] * (p.m - len(prefix))]
     val = [ls[t] for ls, t in zip(levels, v)]  # level values of v
     caps = [*prefix, *p.max_idx[len(prefix):]]
@@ -227,11 +256,16 @@ def _branch_and_bound(
     least = math.inf
     poll = _make_stop_poll(should_stop)
     returned = False  # the result of the node that returned last
-    untouched = p.core_untouched
-    touched = (1 << len(prefix)) - 1  # bit i: v[i] or caps[i] left its root default
+    most = p.m + 1  # more options than any core has
 
-    def node(cost: int) -> Iterator[int]:
-        nonlocal best, best_vec, returned, unhit, touched, least
+    def node(
+        cost: int, parent: Iterable, capped: int, hit: int = 0, r: int = -1
+    ) -> Iterator[tuple[int, list, int, int, int]]:
+        # parent: the entries to start from, the parent's or, at the root,
+        # the untouched ones; capped: the components capped since they were
+        # counted; hit: the cores among them that the raise of component r
+        # hits (the root raised nothing: r = -1, hit = 0)
+        nonlocal best, best_vec, returned, unhit, least
         poll()
         if cost >= best:
             if cost < least:
@@ -239,17 +273,22 @@ def _branch_and_bound(
             returned = False
             return
         pick = -1
-        pick_n = 0
+        pick_n = most
         owed = 0  # additive packing bound, kept order
         packed = 0
-        cands = []  # (-cheapest, options, ci, mask) of each unhit core
-        rest = unhit
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            ci = low.bit_length() - 1
-            mask, n, cheapest = untouched[ci]
-            if mask & touched:
+        entries = []  # (-cheapest, options, ci, mask) of each unhit core, kept order
+        raised = 1 << r if r >= 0 else 0
+        low = hit & -hit
+        hit ^= low
+        next_hit = low.bit_length() - 1
+        for e in parent:
+            neg, n, ci, mask = e
+            if ci == next_hit:  # hit: drop it
+                low = hit & -hit
+                hit ^= low
+                next_hit = low.bit_length() - 1
+                continue
+            if mask & capped:  # a cap may have removed an option: recount
                 n = 0
                 mask = 0
                 cheapest = -1
@@ -260,14 +299,21 @@ def _branch_and_bound(
                         d = lv - val[i]
                         if cheapest < 0 or d < cheapest:
                             cheapest = d
-            if not n:
-                returned = False  # nothing can hit this core under the caps
-                return
+                if not n:
+                    returned = False  # nothing can hit this core under the caps
+                    return
+                neg = -cheapest
+                e = (neg, n, ci, mask)
+            elif mask & raised:
+                d = above[ci][r] - val[r]
+                if d < -neg:
+                    neg = -d
+                    e = (neg, n, ci, mask)
             if not mask & packed:
-                owed += cheapest
+                owed -= neg
                 packed |= mask
-            cands.append((-cheapest, n, ci, mask))
-            if pick < 0 or n < pick_n:
+            entries.append(e)
+            if n < pick_n:
                 pick, pick_n = ci, n
         if pick < 0:
             best = cost
@@ -275,16 +321,14 @@ def _branch_and_bound(
             returned = True
             return
         if cost + owed < best:
-            cands.sort()
             dearest = 0  # additive packing bound, dearest core first
             packed = 0
-            for neg, _, _, mask in cands:
+            for neg, _, _, mask in sorted(entries):
                 if not mask & packed:
                     dearest -= neg
                     packed |= mask
             if dearest > owed:
                 owed = dearest
-        del cands  # the list is dead; free it before the node yields
         if cost + owed >= best:
             if cost + owed < least:
                 least = cost + owed
@@ -293,15 +337,15 @@ def _branch_and_bound(
         opts = [(lv - val[i], i, t, lv) for i, t, lv, _ in steps[pick] if t <= caps[i]]
         opts.sort()
         saved = unhit
-        saved_touched = touched
         saved_caps = []
+        capped = 0  # components capped by earlier siblings
         done = False
         for d, i, t, lv in opts:
             old = v[i]
             v[i], val[i] = t, lv
-            touched |= 1 << i
-            unhit = saved & ~below[i][t]
-            yield cost + d
+            hit = saved & below[i][t]
+            unhit = saved ^ hit
+            yield cost + d, entries, capped, hit, i
             v[i], val[i] = old, lv - d
             unhit = saved
             if returned and best <= stop_at:
@@ -309,18 +353,19 @@ def _branch_and_bound(
                 break
             saved_caps.append((i, caps[i]))
             caps[i] = t - 1  # later siblings keep i at or below the core
+            capped |= 1 << i
         for i, c in reversed(saved_caps):
             caps[i] = c
-        touched = saved_touched
         returned = done
 
-    stack = [node(sum(val))]
+    # the root reads its entries lazily, so a dead core ends it early
+    stack = [node(sum(val), _untouched_entries(p, unhit), (1 << len(prefix)) - 1)]
     while stack:
         child = next(stack[-1], None)
         if child is None:
             stack.pop()
         else:
-            stack.append(node(child))
+            stack.append(node(*child))
     if best_vec is None:
         return None, least
     return (int(best), best_vec), least

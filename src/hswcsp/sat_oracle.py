@@ -274,24 +274,39 @@ class Encoding:
         return tuple(out)
 
 
+# clauses loaded between two polls of should_stop; a batch takes about a
+# millisecond to load
+_LOAD_BATCH = 256
+
+
 class SatOracle:
     """An Encoding loaded into a backend, answering vector queries.
 
     Not thread-safe; build one per solve, shared by its loops. The
     backend keeps learned clauses between calls, which is the whole point
     of the selector scheme, and the oracle keeps its verdicts for `recall`.
+    Loading the clauses into the backend polls `should_stop` before each
+    batch of _LOAD_BATCH clauses and raises SearchAborted when it answers
+    True.
     """
 
-    def __init__(self, w: Wcsp, backend: Callable[[], SatBackend] = CdclSolver):
+    def __init__(
+        self,
+        w: Wcsp,
+        backend: Callable[[], SatBackend] = CdclSolver,
+        should_stop: Callable[[], bool] | None = None,
+    ):
         self.w = w
         self.encoding = Encoding(w)
         self.solver: SatBackend = backend()
         for _ in range(self.encoding.num_vars):
             self.solver.new_var()
-        for c in self.encoding.base_clauses:
-            self.solver.add_clause(c)
-        for c in self.encoding.guarded_clauses:
-            self.solver.add_clause(c)
+        clauses = self.encoding.base_clauses + self.encoding.guarded_clauses
+        for start in range(0, len(clauses), _LOAD_BATCH):
+            if should_stop is not None and should_stop():
+                raise SearchAborted("oracle build interrupted")
+            for c in clauses[start:start + _LOAD_BATCH]:
+                self.solver.add_clause(c)
         # verdict memory (see the module docstring)
         self.fits: list[list[int]] = [
             [0] * len(f.levels) for f in w.cost_functions

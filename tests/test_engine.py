@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 import hswcsp.engine as engine_mod
+from hswcsp.cdcl import CdclSolver
 from hswcsp import (
     INF,
     INFEASIBLE,
@@ -20,6 +21,7 @@ from hswcsp import (
     hs_ub,
     seed_disjoint_cores,
 )
+from hswcsp.sat_oracle import _LOAD_BATCH
 
 ALGS = [
     ("hs_lb", hs_lb),
@@ -214,6 +216,32 @@ def test_core_sync_polls_the_halt_predicate(monkeypatch):
         r = alg(w, pool=prefilled(), time_limit=2.5)
         assert r.status == TIMEOUT and (r.lb, r.ub) == (0, INF), name
         assert len(problems) == 1 and len(problems.pop().cores) <= 3, name
+
+
+def test_oracle_build_polls_the_halt_predicate(monkeypatch):
+    """On a clock that moves only when the SAT backend takes a clause, 1 s
+    per clause, a 300.5 s limit stops every strategy within one batch of
+    the limit, while the oracle loads the 990-variable instance's 3,960
+    clauses, before any SAT call."""
+    w, _ = _single_raise()
+    now = [0.0]
+    monkeypatch.setattr(engine_mod, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    add_clause = CdclSolver.add_clause
+
+    def ticking(self, lits):
+        now[0] += 1
+        return add_clause(self, lits)
+
+    def no_query(*args, **kwargs):
+        pytest.fail("the oracle was queried")
+
+    monkeypatch.setattr(CdclSolver, "add_clause", ticking)
+    monkeypatch.setattr(CdclSolver, "solve", no_query)
+    for name, alg in ALGS:
+        now[0] = 0.0
+        r = alg(w, time_limit=300.5)
+        assert r.status == TIMEOUT and (r.lb, r.ub) == (0, INF), name
+        assert 300.5 <= now[0] < 300.5 + _LOAD_BATCH, name
 
 
 # ---------------------------------------------------------------- seeding

@@ -17,6 +17,7 @@ from hswcsp import (
     hits,
     min_cost_hitting_vector,
 )
+import hswcsp.hitting as hitting
 from hswcsp.hitting import _branch_and_bound, _lex_min_at_cost
 
 FIG1_LEVELS = [(0, 5, 20), (0, 5, 20)]
@@ -257,6 +258,7 @@ def test_add_cores_matches_fresh_build():
             assert grown.cores == whole.cores
             assert grown.core_steps == whole.core_steps
             assert grown.core_untouched == whole.core_untouched
+            assert grown.core_above == whole.core_above
             assert grown.below == whole.below
             assert grown.saturated == whole.saturated
 
@@ -416,6 +418,122 @@ def test_prefix_search_finds_the_cheapest_extension():
         assert cost == sum(p.vector_at(idx)) == min(extensions)
         found += 1
     assert found > 100 and missing > 30
+
+
+def _reference_branch_and_bound(levels, cores, bound, stop_at, prefix=()):
+    """The search of _branch_and_bound written plainly: every node
+    recomputes each unhit core's raise options, its cheapest raise and
+    both packings from scratch. Returns (found, least, nodes entered)."""
+    m = len(levels)
+    v = [*prefix, *[0] * (m - len(prefix))]
+    caps = [*prefix, *(len(ls) - 1 for ls in levels[len(prefix):])]
+    best, best_vec, least, nodes = bound, None, math.inf, 0
+
+    def packing(entries) -> int:
+        owed = packed = 0
+        for neg, _, _, mask in entries:
+            if not mask & packed:
+                owed -= neg
+                packed |= mask
+        return owed
+
+    def search(cost: int) -> bool:
+        nonlocal best, best_vec, least, nodes
+        nodes += 1
+        if cost >= best:
+            least = min(least, cost)
+            return False
+        entries = []
+        for ci, k in enumerate(cores):
+            if any(v[i] > k[i] for i in range(m)):
+                continue  # hit
+            options = [i for i in range(m) if k[i] + 1 <= caps[i]]
+            if not options:
+                return False
+            cheapest = min(levels[i][k[i] + 1] - levels[i][v[i]] for i in options)
+            entries.append((-cheapest, len(options), ci, sum(1 << i for i in options)))
+        if not entries:
+            best, best_vec = cost, tuple(v)
+            return True
+        owed = packing(entries)
+        if cost + owed < best:
+            owed = max(owed, packing(sorted(entries)))
+        if cost + owed >= best:
+            least = min(least, cost + owed)
+            return False
+        k = cores[min(entries, key=lambda e: e[1])[2]]
+        saved = caps[:]
+        raises = sorted(
+            (levels[i][k[i] + 1] - levels[i][v[i]], i) for i in range(m) if k[i] + 1 <= caps[i]
+        )
+        for d, i in raises:
+            old, v[i] = v[i], k[i] + 1
+            found = search(cost + d)
+            v[i] = old
+            if found and best <= stop_at:
+                caps[:] = saved
+                return True
+            caps[i] = k[i]
+        caps[:] = saved
+        return False
+
+    search(sum(ls[t] for ls, t in zip(levels, v)))
+    found = None if best_vec is None else (best, best_vec)
+    return found, least, nodes
+
+
+def test_search_matches_a_from_scratch_reference(monkeypatch):
+    """Node by node, the search that builds each node's entries from its
+    parent's returns what the from-scratch reference returns and enters as
+    many nodes: pools grown core by core, with 3 to 5 levels per function
+    so that sibling caps leave some options, searched with no prefix and
+    with random prefixes, at stop_at inf, the floor and -inf, and refuted
+    at budgets up to the optimum. A stale mask or cheapest raise after a
+    recount, a missed dead core or a missed cheaper raise each fail it."""
+    entered = 0
+
+    def counting(should_stop):
+        def poll():
+            nonlocal entered
+            entered += 1
+
+        return poll
+
+    monkeypatch.setattr(hitting, "_make_stop_poll", counting)
+    rng = random.Random(1313)
+    searches = found = 0
+    for _ in range(60):
+        m = rng.randint(2, 9)
+        levels = [
+            tuple(sorted(rng.sample(range(0, 12), rng.randint(3, 5)))) for _ in range(m)
+        ]
+        p = HittingProblem(levels)
+        for _ in range(rng.randint(1, 24)):
+            # like grown cores, many components sit at their top level
+            low = rng.randrange(m)
+            p.add_cores([tuple(
+                rng.choice(ls[:-1]) if i == low or rng.random() < 0.5 else ls[-1]
+                for i, ls in enumerate(levels)
+            )])
+            floor = p.floor  # the previous optimum, at or below the new one
+            best = sum(min_cost_hitting_vector(p))
+            some = tuple(rng.randrange(len(ls)) for ls in levels[: rng.randint(1, m)])
+            for prefix in ((), some):
+                for bound, stop_at in (
+                    (math.inf, math.inf),
+                    (floor + 1, floor),
+                    (best + 1, best),
+                    (best, best - 1),
+                    (best + rng.randint(1, 6), -math.inf),
+                    (math.inf, -math.inf),
+                ):
+                    entered = 0
+                    got = _branch_and_bound(p, bound, stop_at, None, prefix)
+                    args = levels, p.cores, bound, stop_at, prefix
+                    assert (*got, entered) == _reference_branch_and_bound(*args), args
+                    searches += 1
+                    found += got[0] is not None
+    assert searches > 5000 and found > 2500
 
 
 def _frame_depth() -> int:
