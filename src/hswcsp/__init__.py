@@ -23,12 +23,7 @@ from .engine import (
     hs_ub,
     seed_disjoint_cores,
 )
-from .hitting import (
-    HittingProblem,
-    PoolSaturatedError,
-    cost_bounded_hitting_vector,
-    min_cost_hitting_vector,
-)
+from .hitting import HittingProblem, cost_bounded_hitting_vector, min_cost_hitting_vector
 from .model import (
     INF,
     CostFunction,
@@ -36,7 +31,6 @@ from .model import (
     HardConstraint,
     SearchAborted,
     Wcsp,
-    cost_of_vector,
     hits,
     leq,
 )
@@ -67,7 +61,6 @@ __all__ = [
     "HittingProblem",
     "OracleVerdict",
     "ParseError",
-    "PoolSaturatedError",
     "SatOracle",
     "SearchAborted",
     "SolveResult",
@@ -78,7 +71,6 @@ __all__ = [
     "Wcsp",
     "classify_all_vectors",
     "cost_bounded_hitting_vector",
-    "cost_of_vector",
     "exhaustive_mhv",
     "generate",
     "hits",

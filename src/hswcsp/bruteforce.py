@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple, Sequence
 
-from .hitting import PoolSaturatedError
 from .model import Wcsp, leq
 
 MAX_ASSIGNMENTS = 10_000_000
@@ -110,8 +109,9 @@ def maximal_cores(w: Wcsp) -> list[tuple[int, ...]]:
 
 def exhaustive_mhv(
     levels: Sequence[Sequence[int]], pool: Iterable[Sequence[int]]
-) -> tuple[int, ...]:
-    """Minimum-cost vector hitting the pool, by full enumeration.
+) -> tuple[int, ...] | None:
+    """Minimum-cost vector hitting the pool, by full enumeration, or None
+    when no vector hits it.
 
     Ties broken by the lexicographically smallest level-index tuple, the
     same rule the branch-and-bound solver uses.
@@ -124,8 +124,6 @@ def exhaustive_mhv(
         for ls, c in zip(levels, k):
             if c not in ls:
                 raise ValueError(f"{c} is not a level in {ls}")
-        if all(c == ls[-1] for ls, c in zip(levels, k)):
-            raise PoolSaturatedError(f"core {k} cannot be hit")
     space = 1
     for ls in levels:
         space *= len(ls)
@@ -139,8 +137,6 @@ def exhaustive_mhv(
         key = (sum(v), idx)
         if best_key is None or key < best_key:
             best_key, best_vec = key, v
-    if best_vec is None:
-        raise RuntimeError("no vector hits an unsaturated pool")
     return best_vec
 
 

@@ -109,7 +109,6 @@ class CdclSolver:
         self.activity.append(0.0)
         self.polarity.append(-1)
         self.seen.append(0)
-        heappush(self.order, (0.0, v))
         return v
 
     def add_clause(self, lits: Iterable[int]) -> bool:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .model import SearchAborted, cost_of_vector
+from .model import SearchAborted
 from .sat_oracle import OracleVerdict, SatOracle
 
 __all__ = ["maximal_core"]
@@ -82,7 +82,7 @@ def maximal_core(
     first = ask(v)
     if first.satisfiable:
         if offer_ub is not None:
-            offer_ub(cost_of_vector(v), first.witness)
+            offer_ub(sum(v), first.witness)
         return None
     bound = first.core  # v <= bound throughout, and bound is a core
 
@@ -107,7 +107,7 @@ def maximal_core(
                 if verdict.satisfiable:
                     settled[i] = True
                     if offer_ub is not None:
-                        offer_ub(cost_of_vector(probe), verdict.witness)
+                        offer_ub(sum(probe), verdict.witness)
                     continue
                 bound = verdict.core
             v[i] = raised

@@ -25,13 +25,8 @@ from functools import partial
 from typing import Callable
 
 from .core_grow import maximal_core
-from .hitting import (
-    HittingProblem,
-    PoolSaturatedError,
-    cost_bounded_hitting_vector,
-    min_cost_hitting_vector,
-)
-from .model import INF, SearchAborted, Wcsp, cost_of_vector
+from .hitting import HittingProblem, cost_bounded_hitting_vector, min_cost_hitting_vector
+from .model import INF, SearchAborted, Wcsp
 from .sat_oracle import SatOracle
 from .wcsp_io import TraceEvent
 
@@ -231,11 +226,13 @@ def _run_loops(
     Both loops search one HittingProblem, which takes in the cores pooled
     since the previous step, one at a time with a halt poll before each,
     so a large pool does not hold up a time limit. A step searches for a
-    hitter, the minimum-cost one for lb (its cost raises lb) or any one
-    under ub for ub, then probes it: core growth offers the solutions it
-    meets and pools the grown core.
-    Returns True when the pool is saturated, so nothing hits it, and False
-    when the loops are done or halted.
+    hitter under ub, the minimum-cost one for lb (its cost raises lb) or
+    any one for ub, then probes it: core growth offers the solutions it
+    meets and pools the grown core. Either search returning None means
+    nothing hits the pool below ub. With ub = inf nothing hits it at all,
+    so no vector is a solution and the loops return True; otherwise ub is
+    the optimum, lb rises to it and the loops return False. They also
+    return False when the bounds meet or they are halted.
     """
     problem = HittingProblem(w.levels_per_function())
     while True:
@@ -250,20 +247,14 @@ def _run_loops(
                     return False
                 problem.add_cores((core,))
             if name == "lb":
-                try:
-                    h = min_cost_hitting_vector(
-                        problem, prune_at=None if ub == INF else ub, should_stop=halt
-                    )
-                except PoolSaturatedError:
-                    return True
+                h = min_cost_hitting_vector(problem, prune_at=ub, should_stop=halt)
                 if h is not None:
-                    pool.raise_lb(cost_of_vector(h), source)
+                    pool.raise_lb(sum(h), source)
             else:
                 h = cost_bounded_hitting_vector(problem, ub, should_stop=halt)
-                if h is None and ub == INF:
-                    return True  # only a saturated pool fails under no budget
             if h is None:
-                # nothing hits the pool below ub, so ub is the optimum
+                if ub == INF:
+                    return True
                 pool.raise_lb(int(ub), source)
                 return False
             if pool.lb >= pool.ub:

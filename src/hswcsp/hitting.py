@@ -1,7 +1,12 @@
 """Minimum-cost hitting vectors over a pool of core vectors.
 
 A vector hits the pool when no core dominates it, i.e. for every core it is
-strictly above the core in at least one component. The search works in
+strictly above the core in at least one component. Both searches,
+min_cost_hitting_vector and cost_bounded_hitting_vector, return a hitter
+or None, and None means that nothing hits the pool below the search's
+bound; with an unbounded budget, that nothing hits the pool at all. A
+pool holding a core at every maximum level is the one pool that nothing
+hits, and `HittingProblem.saturated` answers that in O(1). The search works in
 level-index space: raising component i above a core's level only ever
 targets the next level up, and siblings in the branch tree are capped at
 the core's level so the subtrees partition the solution space (split by the
@@ -53,10 +58,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .model import SearchAborted
 
 
-class PoolSaturatedError(RuntimeError):
-    """Some core has every component at its maximum level; nothing hits it."""
-
-
 class HittingProblem:
     """Per-function level sets plus an append-only pool of cores, index-encoded.
 
@@ -71,7 +72,6 @@ class HittingProblem:
     `core_steps`, one (i, t, level value, 1 << i) per component i that can
     still be raised above the core, where t is the level index just above
     it (no steps means nothing hits the core, and sets `saturated`);
-    `core_above`, the map from each such i to that level value;
     `core_untouched`, the core's search entry (-cheapest increment, count,
     core index, component mask) of its raise options from the lowest
     levels with no cap; and the masks `below[i][t]`, whose bit ci is set
@@ -101,7 +101,6 @@ class HittingProblem:
         self._index_of = [{c: i for i, c in enumerate(ls)} for ls in self.levels]
         self.cores: list[tuple[int, ...]] = []
         self.core_steps: list[tuple[tuple[int, int, int, int], ...]] = []
-        self.core_above: list[dict[int, int]] = []
         self.core_untouched: list[tuple[int, int, int, int]] = []
         self.below = [[0] * len(ls) for ls in self.levels]
         self._seen: set[tuple[int, ...]] = set()
@@ -132,7 +131,6 @@ class HittingProblem:
             steps = tuple((i, k[i] + 1, levels[i][k[i] + 1], 1 << i) for i in up)
             cores.append(k)
             self.core_steps.append(steps)
-            self.core_above.append({i: lv for i, _, lv, _ in steps})
             self.core_untouched.append((
                 -min((lv - levels[i][0] for i, _, lv, _ in steps), default=0),
                 len(steps),
@@ -244,7 +242,7 @@ def _branch_and_bound(
     next() ends each with its default instead of a StopIteration that the
     stack loop would have to catch.
     """
-    levels, steps, below, above = p.levels, p.core_steps, p.below, p.core_above
+    levels, steps, below, cores = p.levels, p.core_steps, p.below, p.cores
     v = [*prefix, *[0] * (p.m - len(prefix))]
     val = [ls[t] for ls, t in zip(levels, v)]  # level values of v
     caps = [*prefix, *p.max_idx[len(prefix):]]
@@ -278,6 +276,7 @@ def _branch_and_bound(
         packed = 0
         entries = []  # (-cheapest, options, ci, mask) of each unhit core, kept order
         raised = 1 << r if r >= 0 else 0
+        raised_levels = levels[r]  # read only below a raise, where r >= 0
         low = hit & -hit
         hit ^= low
         next_hit = low.bit_length() - 1
@@ -305,7 +304,7 @@ def _branch_and_bound(
                 neg = -cheapest
                 e = (neg, n, ci, mask)
             elif mask & raised:
-                d = above[ci][r] - val[r]
+                d = raised_levels[cores[ci][r] + 1] - val[r]
                 if d < -neg:
                     neg = -d
                     e = (neg, n, ci, mask)
@@ -410,15 +409,14 @@ def _lex_min_at_cost(
 
 def min_cost_hitting_vector(
     p: HittingProblem,
-    prune_at: float | int | None = None,
+    prune_at: float | int = math.inf,
     should_stop: Callable[[], bool] | None = None,
 ) -> tuple[int, ...] | None:
-    """Cheapest vector hitting every core, as a tuple of costs.
+    """Cheapest vector hitting every core, as a tuple of costs, or None
+    when no hitting vector costs strictly less than `prune_at`.
 
-    Ties go to the lexicographically smallest level-index tuple. With
-    `prune_at` set, returns None as soon as it is proven that no hitting
-    vector costs strictly less than it. Raises PoolSaturatedError when no
-    hitting vector exists at all.
+    Ties go to the lexicographically smallest level-index tuple. With the
+    default `prune_at` of inf, None means that nothing hits the pool.
 
     The cost search deepens iteratively from `p.floor`. Each try searches
     for a hitter costing at most the floor and stops at the first one,
@@ -431,10 +429,11 @@ def min_cost_hitting_vector(
     whichever optimal witness it starts from.
     """
     if p.saturated:
-        raise PoolSaturatedError("a pooled core sits at every maximum level")
-    bound = math.inf if prune_at is None else prune_at
-    while p.floor < bound:
-        found, least = _branch_and_bound(p, min(p.floor + 1, bound), p.floor, should_stop)
+        return None
+    while p.floor < prune_at:
+        found, least = _branch_and_bound(
+            p, min(p.floor + 1, prune_at), p.floor, should_stop
+        )
         if found is not None:
             return p.vector_at(_lex_min_at_cost(p, p.floor, should_stop, found[1]))
         p.floor = least
@@ -449,7 +448,8 @@ def cost_bounded_hitting_vector(
     """Some vector hitting every core with cost strictly below ub, else None.
 
     No optimality claim; the search leans toward cheap levels and stops at
-    the first feasible leaf. A saturated pool yields None.
+    the first feasible leaf. With ub = inf, None means that nothing hits
+    the pool.
     """
     if p.saturated:
         return None

@@ -284,8 +284,3 @@ def hits(u: Sequence[int], pool: Iterable[Sequence[int]]) -> bool:
     strictly above k.
     """
     return not any(leq(u, k) for k in pool)
-
-
-def cost_of_vector(v: Sequence[int]) -> int:
-    """Sum of a cost vector's components."""
-    return sum(v)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 from .cdcl import CdclSolver
 from .model import SearchAborted, Wcsp
@@ -185,15 +185,14 @@ class NaiveSolver:
 
 
 class Encoding:
-    """Variable numbering and clause lists for one instance.
+    """Variable numbering and clauses for one instance.
 
     Owns the maps from (csp variable, value) to boolean ids and from
     (function, level index >= 1) to selector ids: `selector_var[i][j - 1]`
     is s(i, j). The value booleans come first, each variable's on
     consecutive ids, so `decode` reads a variable off one slice of a
-    model. Base clauses are the exactly-one groups plus hard-constraint
-    forbids; guarded clauses tie each non-minimum-cost tuple to its level
-    selector.
+    model. `clauses` generates the clauses on demand, so a caller can
+    stop between any two of them.
     """
 
     def __init__(self, w: Wcsp):
@@ -213,29 +212,29 @@ class Encoding:
             for j, s in enumerate(sel, 1)
         }
 
-        self.base_clauses: list[list[int]] = []
+    def clauses(self) -> Iterator[list[int]]:
+        """Every clause of the instance, in a fixed order: per variable an
+        exactly-one group, then one clause per hard-forbidden tuple, then
+        one guarded clause per non-minimum-cost tuple, which ties the tuple
+        to its level selector."""
+        w = self.w
         for x, d in enumerate(w.domains):
             vv = self.value_var[x]
-            self.base_clauses.append(list(vv))
+            yield list(vv)
             for a in range(d):
                 for b in range(a + 1, d):
-                    self.base_clauses.append([-vv[a], -vv[b]])
+                    yield [-vv[a], -vv[b]]
         for hc in w.hard_constraints:
             for t in sorted(hc.forbidden):
-                self.base_clauses.append(
-                    [-self.value_var[x][val] for x, val in zip(hc.scope, t)]
-                )
-
-        self.guarded_clauses: list[list[int]] = []
+                yield [-self.value_var[x][val] for x, val in zip(hc.scope, t)]
         for i, f in enumerate(w.cost_functions):
             for t in sorted(f.table):
                 j = f.index.get(f.table[t])
                 if not j:
                     continue  # hard-forbidden or minimum level: no guard
-                self.guarded_clauses.append(
-                    [-self.selector_var[i][j - 1]]
-                    + [-self.value_var[x][val] for x, val in zip(f.scope, t)]
-                )
+                yield [-self.selector_var[i][j - 1]] + [
+                    -self.value_var[x][val] for x, val in zip(f.scope, t)
+                ]
 
     def assumptions_for(self, v: Sequence[int]) -> list[int]:
         """Selector literals asserting f_i <= v_i for every function: the
@@ -274,8 +273,8 @@ class Encoding:
         return tuple(out)
 
 
-# clauses loaded between two polls of should_stop; a batch takes about a
-# millisecond to load
+# clauses built and loaded between two polls of should_stop; a batch takes
+# about a millisecond
 _LOAD_BATCH = 256
 
 
@@ -285,9 +284,9 @@ class SatOracle:
     Not thread-safe; build one per solve, shared by its loops. The
     backend keeps learned clauses between calls, which is the whole point
     of the selector scheme, and the oracle keeps its verdicts for `recall`.
-    Loading the clauses into the backend polls `should_stop` before each
-    batch of _LOAD_BATCH clauses and raises SearchAborted when it answers
-    True.
+    The clauses are generated and loaded into the backend one at a time,
+    with a poll of `should_stop` every _LOAD_BATCH clauses; a True answer
+    raises SearchAborted.
     """
 
     def __init__(
@@ -301,12 +300,10 @@ class SatOracle:
         self.solver: SatBackend = backend()
         for _ in range(self.encoding.num_vars):
             self.solver.new_var()
-        clauses = self.encoding.base_clauses + self.encoding.guarded_clauses
-        for start in range(0, len(clauses), _LOAD_BATCH):
-            if should_stop is not None and should_stop():
+        for n, c in enumerate(self.encoding.clauses()):
+            if n % _LOAD_BATCH == 0 and should_stop is not None and should_stop():
                 raise SearchAborted("oracle build interrupted")
-            for c in clauses[start:start + _LOAD_BATCH]:
-                self.solver.add_clause(c)
+            self.solver.add_clause(c)
         # verdict memory (see the module docstring)
         self.fits: list[list[int]] = [
             [0] * len(f.levels) for f in w.cost_functions

@@ -11,6 +11,7 @@ from hswcsp import (
     OPTIMAL,
     TIMEOUT,
     CorePool,
+    Encoding,
     SatOracle,
     SolveResult,
     TraceRecorder,
@@ -153,6 +154,24 @@ def test_bogus_saturated_pool_reports_infeasible(fig1):
         assert r.iterations == iterations
 
 
+def test_bogus_saturated_pool_under_a_ub_proves_the_ub(fig1):
+    # nothing hits the pool below ub, so every loop takes ub as optimal
+    witness = (1, 0, 0)
+    assert fig1.evaluate(witness).total == 25
+    for alg, iterations in (
+        (hs_lb, {"lb": 0}),
+        (hs_ub, {"ub": 0}),
+        (hs_lub, {"lb": 0, "ub": 0}),
+    ):
+        pool = CorePool()
+        pool.add_core((20, 20), "MAIN")
+        pool.offer_ub(25, witness, "MAIN")
+        r = alg(fig1, pool=pool)
+        assert r.status == OPTIMAL and r.optimum == 25, alg.__name__
+        assert r.witness == witness
+        assert r.iterations == iterations
+
+
 def _single_raise(m: int = 990):
     """m binary variables, each paying 1 for its only allowed value, and a
     factory for pools pre-filled with their m single-raise cores."""
@@ -218,6 +237,20 @@ def test_core_sync_polls_the_halt_predicate(monkeypatch):
         assert len(problems) == 1 and len(problems.pop().cores) <= 3, name
 
 
+def _assert_build_stops_within_a_batch(monkeypatch, w, now):
+    """Every strategy, with a 300.5 s limit on the clock `now`, stops
+    within one batch of clauses past the limit, before any SAT call."""
+    def no_query(*args, **kwargs):
+        pytest.fail("the oracle was queried")
+
+    monkeypatch.setattr(CdclSolver, "solve", no_query)
+    for name, alg in ALGS:
+        now[0] = 0.0
+        r = alg(w, time_limit=300.5)
+        assert r.status == TIMEOUT and (r.lb, r.ub) == (0, INF), name
+        assert 300.5 <= now[0] < 300.5 + _LOAD_BATCH, name
+
+
 def test_oracle_build_polls_the_halt_predicate(monkeypatch):
     """On a clock that moves only when the SAT backend takes a clause, 1 s
     per clause, a 300.5 s limit stops every strategy within one batch of
@@ -232,16 +265,26 @@ def test_oracle_build_polls_the_halt_predicate(monkeypatch):
         now[0] += 1
         return add_clause(self, lits)
 
-    def no_query(*args, **kwargs):
-        pytest.fail("the oracle was queried")
-
     monkeypatch.setattr(CdclSolver, "add_clause", ticking)
-    monkeypatch.setattr(CdclSolver, "solve", no_query)
-    for name, alg in ALGS:
-        now[0] = 0.0
-        r = alg(w, time_limit=300.5)
-        assert r.status == TIMEOUT and (r.lb, r.ub) == (0, INF), name
-        assert 300.5 <= now[0] < 300.5 + _LOAD_BATCH, name
+    _assert_build_stops_within_a_batch(monkeypatch, w, now)
+
+
+def test_clause_generation_polls_the_halt_predicate(monkeypatch):
+    """The same, on a clock that moves only when the encoding generates a
+    clause: the clauses past the batch that crosses the limit are never
+    built."""
+    w, _ = _single_raise()
+    now = [0.0]
+    monkeypatch.setattr(engine_mod, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    clauses = Encoding.clauses
+
+    def ticking(self):
+        for c in clauses(self):
+            now[0] += 1
+            yield c
+
+    monkeypatch.setattr(Encoding, "clauses", ticking)
+    _assert_build_stops_within_a_batch(monkeypatch, w, now)
 
 
 # ---------------------------------------------------------------- seeding

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hswcsp import (
     HittingProblem,
-    PoolSaturatedError,
     SearchAborted,
     cost_bounded_hitting_vector,
     exhaustive_mhv,
@@ -87,8 +86,10 @@ def test_min_cost_vector_prune_boundary():
 
 
 def test_min_cost_vector_saturated_pool():
-    with pytest.raises(PoolSaturatedError):
-        min_cost_hitting_vector(HittingProblem(FIG1_LEVELS, [(20, 20)]))
+    # nothing hits the pool: None, as from cost_bounded_hitting_vector
+    p = HittingProblem(FIG1_LEVELS, [(20, 20)])
+    assert min_cost_hitting_vector(p) is None
+    assert min_cost_hitting_vector(p, prune_at=25) is None
 
 
 def test_cost_bounded_vector():
@@ -218,13 +219,6 @@ def _reference_kept(levels, pool) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _min_cost_or_saturated(p: HittingProblem):
-    try:
-        return min_cost_hitting_vector(p)
-    except PoolSaturatedError:
-        return "saturated"
-
-
 def test_add_cores_matches_fresh_build():
     rng = random.Random(20261018)
     for _ in range(400):
@@ -239,9 +233,9 @@ def test_add_cores_matches_fresh_build():
             levels,
             [tuple(ls[t] for ls, t in zip(levels, k)) for k in _reference_kept(levels, pool)],
         )
-        best = _min_cost_or_saturated(whole)
-        assert best == _min_cost_or_saturated(filtered)
-        ubs = [math.inf] if best == "saturated" else [sum(best), sum(best) + 1, math.inf]
+        best = min_cost_hitting_vector(whole)
+        assert best == min_cost_hitting_vector(filtered)
+        ubs = [math.inf] if best is None else [sum(best), sum(best) + 1, math.inf]
         for ub in ubs:
             raw_hit = cost_bounded_hitting_vector(whole, ub)
             kept_hit = cost_bounded_hitting_vector(filtered, ub)
@@ -258,7 +252,6 @@ def test_add_cores_matches_fresh_build():
             assert grown.cores == whole.cores
             assert grown.core_steps == whole.core_steps
             assert grown.core_untouched == whole.core_untouched
-            assert grown.core_above == whole.core_above
             assert grown.below == whole.below
             assert grown.saturated == whole.saturated
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hswcsp import Wcsp, cost_of_vector, generate, hits, leq, parse_wcsp
+from hswcsp import Wcsp, generate, hits, leq, parse_wcsp
 from hswcsp.model import CostFunction, Evaluation, HardConstraint, is_pure_hard
 
 
@@ -216,11 +216,6 @@ def test_hits_is_pointwise(u, v_pool):
     assert hits(u, pool) == all(not leq(u, k) for k in pool)
     # a vector never hits a pool containing itself
     assert not hits(u, pool + [list(u)])
-
-
-@given(vecs)
-def test_cost_of_vector_is_sum(v):
-    assert cost_of_vector(v) == sum(v)
 
 
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=5))

@@ -27,11 +27,12 @@ def test_encoding_shape(fig1):
     # 6 value booleans + 2 selectors per function
     assert enc.num_vars == 10
     assert sum(map(len, enc.selector_var)) == 4
-    # per domain: one at-least-one clause plus one pairwise exclusion
-    assert len(enc.base_clauses) == 6
-    # per function: one guard per tuple costing a non-minimum level
-    assert len(enc.guarded_clauses) == 6
-    assert all(len(c) == 3 for c in enc.guarded_clauses)
+    clauses = list(enc.clauses())
+    assert len(clauses) == 12
+    # first, per domain: one at-least-one clause plus one pairwise exclusion
+    assert all(len(c) == 2 for c in clauses[:6])
+    # then, per function: one guard per tuple costing a non-minimum level
+    assert all(len(c) == 3 for c in clauses[6:])
 
 
 def test_assumptions_for(fig1):
