@@ -43,7 +43,6 @@ from .wcsp_io import (
     parse_wcsp_file,
     read_trace,
     wcsp_to_text,
-    write_wcsp,
 )
 
 __version__ = "0.1.0"
@@ -86,6 +85,5 @@ __all__ = [
     "read_trace",
     "seed_disjoint_cores",
     "wcsp_to_text",
-    "write_wcsp",
     "__version__",
 ]

@@ -58,7 +58,7 @@ def feasible_cost_profiles(w: Wcsp) -> list[tuple[int, ...]]:
 
 def vector_is_solution(w: Wcsp, v: Sequence[int]) -> bool:
     """True iff the CSP induced by bounding each function at v is satisfiable."""
-    v = w.validate_vector(v)
+    w.level_indices(v)  # checks that v is a vector of levels
     _guard(_assignment_space(w), MAX_ASSIGNMENTS, "assignment")
     for a in w.assignments():
         ev = w.evaluate(a)

@@ -46,7 +46,6 @@ def maximal_core(
     oracle: SatOracle,
     h: Sequence[int],
     offer_ub: Callable[[int, tuple[int, ...]], object] | None = None,
-    should_stop: Callable[[], bool] | None = None,
     recall: bool = False,
 ) -> tuple[int, ...] | None:
     """Grow the core h until every single-component raise is satisfiable.
@@ -67,14 +66,17 @@ def maximal_core(
     A raise that the last UNSAT verdict's core dominates is applied
     without a probe. With recall, a probe that the oracle's remembered
     verdicts settle is answered from them instead of the backend.
+    The oracle's `should_stop` is polled before each raise and by every
+    backend call; a True answer raises SearchAborted.
     """
     w = oracle.w
     funcs = w.cost_functions
+    should_stop = oracle.should_stop
 
     def ask(vector: list[int]) -> OracleVerdict:
         verdict = oracle.recall(vector) if recall else None
         if verdict is None:
-            verdict = oracle.solve_under_vector(vector, should_stop=should_stop)
+            verdict = oracle.solve_under_vector(vector)
         return verdict
 
     v = list(h)

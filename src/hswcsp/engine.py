@@ -12,7 +12,9 @@ both shared by its loops, so its trace is deterministic up to timestamps.
 Bounds and cores live in a CorePool guarded by one lock; every bound
 change is stamped into a trace. Long searches poll a halt predicate at
 node/conflict granularity, so a time limit, or bounds that meet during
-core growth, take effect mid-search.
+core growth, take effect mid-search. The hitting searches take it on
+every call; the SAT side takes it once, when the solve builds its
+oracle, and its queries, core growth and seeding poll it from there.
 """
 
 from __future__ import annotations
@@ -159,12 +161,7 @@ class SolveResult:
             raise ValueError(f"{self.status} result carries optimum {self.optimum}")
 
 
-def seed_disjoint_cores(
-    w: Wcsp,
-    pool: CorePool,
-    oracle: SatOracle | None = None,
-    should_stop: Callable[[], bool] | None = None,
-) -> int:
+def seed_disjoint_cores(w: Wcsp, pool: CorePool, oracle: SatOracle) -> int:
     """Pre-fill the pool with cores whose below-maximum components are
     pairwise disjoint, then raise lb by their additive increments.
 
@@ -178,21 +175,20 @@ def seed_disjoint_cores(
     seeded cores pays, per core, at least the cheapest next-level increment
     over that core's below-maximum components, on top of the sum of all
     minimum levels. That sum is pushed as a lower bound with source SEED.
-    Returns the number of cores added.
+    Every probe goes to `oracle`, an oracle of w, and stops on its stop
+    predicate. Returns the number of cores added.
     """
-    if oracle is None:
-        oracle = SatOracle(w, should_stop=should_stop)
     mins, maxs = w.min_vector(), w.max_vector()
     used: set[int] = set()
     added: list[tuple[int, ...]] = []
     offer_ub = partial(pool.offer_ub, source="SEED")
     while True:
         probe = tuple(maxs[i] if i in used else mins[i] for i in range(w.m))
-        verdict = oracle.solve_under_vector(probe, should_stop=should_stop)
+        verdict = oracle.solve_under_vector(probe)
         if verdict.satisfiable:
             pool.offer_ub(w.evaluate(verdict.witness).total, verdict.witness, "SEED")
             break
-        grown = maximal_core(oracle, probe, offer_ub, should_stop=should_stop)
+        grown = maximal_core(oracle, probe, offer_ub)
         pool.add_core(grown, "SEED")
         added.append(grown)
         fresh = {i for i in range(w.m) if grown[i] < maxs[i]} - used
@@ -261,7 +257,7 @@ def _run_loops(
                 return False  # the hitter's cost met ub
             iterations[name] += 1
             offer_ub = partial(pool.offer_ub, source=source)
-            grown = maximal_core(oracle, h, offer_ub, should_stop=halt, recall=True)
+            grown = maximal_core(oracle, h, offer_ub, recall=True)
             if grown is not None:
                 pool.add_core(grown, source)
 
@@ -295,11 +291,11 @@ def _solve(
     try:
         if not halt():
             oracle = SatOracle(w, should_stop=halt)
-            if not oracle.solve_csp(should_stop=halt).satisfiable:
+            if not oracle.solve_csp().satisfiable:
                 infeasible = True
             else:
                 if seed_disjoint:
-                    seed_disjoint_cores(w, pool, oracle, should_stop=halt)
+                    seed_disjoint_cores(w, pool, oracle)
                 iterations = dict.fromkeys(loops, 0)
                 infeasible = _run_loops(w, pool, oracle, halt, iterations)
     except SearchAborted:

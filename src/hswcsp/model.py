@@ -192,15 +192,14 @@ class Wcsp:
         for scope, table in functions:
             scope = tuple(scope)
             lifted = frozenset(t for t, c in table.items() if c >= top)
-            sub_top = {c for c in table.values() if c < top}
-            if lifted and sub_top <= {0}:  # the rule of is_pure_hard
-                hcs.append(HardConstraint(scope, lifted))
-                continue
             if lifted:
                 hcs.append(HardConstraint(scope, lifted))
+                if is_pure_hard(table, top):
+                    continue
                 table = {t: (top if c >= top else c) for t, c in table.items()}
             else:
                 table = dict(table)
+            sub_top = {c for c in table.values() if c < top}
             fns.append(CostFunction(scope, table, tuple(sorted(sub_top))))
         return cls(num_vars, tuple(domains), tuple(hcs), tuple(fns), top, name)
 
@@ -228,11 +227,6 @@ class Wcsp:
             if not (0 <= v < self.domains[x]):
                 raise ValueError(f"value {v} out of domain for variable {x}")
         return a
-
-    def validate_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        v = tuple(v)
-        self.level_indices(v)
-        return v
 
     def level_indices(self, v: Sequence[int]) -> list[int]:
         """The position of each component of v in its function's levels.

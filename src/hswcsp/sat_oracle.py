@@ -31,6 +31,12 @@ one. Both check their vector in the one pass that maps it to level indices
 (`Wcsp.level_indices`), which also serves the query: the selector slices
 of `assumptions_for`, or the memory's masks.
 
+The oracle holds the one stop predicate of the SAT side, `should_stop`,
+given once when it is built, as an IPASIR solver's terminate callback
+is set once: the build polls it between clause batches, every query
+hands it to the backend, and core growth and seeding read it from the
+oracle. A True answer raises SearchAborted.
+
 A backend is a factory: anything that builds an object with new_var,
 add_clause, a solve that answers True or False or raises SearchAborted,
 and two lists it sets: `model` after a True answer (`model[v]` is 1 when
@@ -285,8 +291,8 @@ class SatOracle:
     backend keeps learned clauses between calls, which is the whole point
     of the selector scheme, and the oracle keeps its verdicts for `recall`.
     The clauses are generated and loaded into the backend one at a time,
-    with a poll of `should_stop` every _LOAD_BATCH clauses; a True answer
-    raises SearchAborted.
+    with a poll of `should_stop`, the SAT side's one stop predicate (see
+    the module docstring), every _LOAD_BATCH clauses.
     """
 
     def __init__(
@@ -296,6 +302,7 @@ class SatOracle:
         should_stop: Callable[[], bool] | None = None,
     ):
         self.w = w
+        self.should_stop = should_stop
         self.encoding = Encoding(w)
         self.solver: SatBackend = backend()
         for _ in range(self.encoding.num_vars):
@@ -316,28 +323,22 @@ class SatOracle:
         # solution cost vectors and cores remembered; no vector is both
         self._seen: set[tuple[int, ...]] = set()
 
-    def _run(
-        self, assumptions: list[int], should_stop: Callable[[], bool] | None
-    ) -> OracleVerdict:
-        if not self.solver.solve(assumptions, should_stop=should_stop):
+    def _run(self, assumptions: list[int]) -> OracleVerdict:
+        if not self.solver.solve(assumptions, should_stop=self.should_stop):
             return OracleVerdict(
                 False, None, self.encoding.core_for(self.solver.conflict)
             )
         return OracleVerdict(True, self.encoding.decode(self.solver.model), None)
 
-    def solve_csp(
-        self, should_stop: Callable[[], bool] | None = None
-    ) -> OracleVerdict:
+    def solve_csp(self) -> OracleVerdict:
         """Feasibility of the hard constraints alone (no cost bounds)."""
-        return self._run([], should_stop)
+        return self._run([])
 
-    def solve_under_vector(
-        self, v: Sequence[int], should_stop: Callable[[], bool] | None = None
-    ) -> OracleVerdict:
+    def solve_under_vector(self, v: Sequence[int]) -> OracleVerdict:
         """SAT iff v is a solution vector of the instance. An UNSAT verdict's
         core dominates v."""
         v = tuple(v)
-        verdict = self._run(self.encoding.assumptions_for(v), should_stop)
+        verdict = self._run(self.encoding.assumptions_for(v))
         if verdict.satisfiable:
             ev = self.w.evaluate(verdict.witness)
             if not ev.feasible or any(

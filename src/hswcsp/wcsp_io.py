@@ -149,8 +149,9 @@ def parse_wcsp_file(path: str) -> Wcsp:
         return parse_wcsp(fh.read())
 
 
-def write_wcsp(w: Wcsp, sink: IO[str], name: str | None = None) -> None:
-    """Serialize an instance; parse_wcsp(write_wcsp(w)) evaluates identically.
+def wcsp_to_text(w: Wcsp) -> str:
+    """Serialize an instance; parse_wcsp(wcsp_to_text(w)) evaluates
+    identically.
 
     Cost functions are written with default 0 and explicit nonzero tuples in
     lexicographic order; hard constraints become blocks whose forbidden
@@ -160,26 +161,19 @@ def write_wcsp(w: Wcsp, sink: IO[str], name: str | None = None) -> None:
     # would read back as an all-zero cost function
     hards = [hc for hc in w.hard_constraints if hc.forbidden]
     blocks = len(w.cost_functions) + len(hards)
-    sink.write(f"{name or w.name} {w.num_vars} {max(w.domains)} {blocks} {w.top}\n")
-    sink.write(" ".join(str(d) for d in w.domains) + "\n")
+    lines = [
+        f"{w.name} {w.num_vars} {max(w.domains)} {blocks} {w.top}",
+        " ".join(str(d) for d in w.domains),
+    ]
     for f in w.cost_functions:
         rows = [(t, c) for t, c in sorted(f.table.items()) if c != 0]
-        sink.write(f"{len(f.scope)} {' '.join(map(str, f.scope))} 0 {len(rows)}\n")
-        for t, c in rows:
-            sink.write(f"{' '.join(map(str, t))} {c}\n")
+        lines.append(f"{len(f.scope)} {' '.join(map(str, f.scope))} 0 {len(rows)}")
+        lines += [f"{' '.join(map(str, t))} {c}" for t, c in rows]
     for hc in hards:
         rows = sorted(hc.forbidden)
-        sink.write(f"{len(hc.scope)} {' '.join(map(str, hc.scope))} 0 {len(rows)}\n")
-        for t in rows:
-            sink.write(f"{' '.join(map(str, t))} {w.top}\n")
-
-
-def wcsp_to_text(w: Wcsp, name: str | None = None) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_wcsp(w, buf, name=name)
-    return buf.getvalue()
+        lines.append(f"{len(hc.scope)} {' '.join(map(str, hc.scope))} 0 {len(rows)}")
+        lines += [f"{' '.join(map(str, t))} {w.top}" for t in rows]
+    return "\n".join(lines) + "\n"
 
 
 # --- bound traces ---

@@ -75,21 +75,27 @@ def test_growth_without_sink(fig1):
 
 
 def test_stop_now_aborts(fig1):
+    stop = False
+    oracle = SatOracle(fig1, should_stop=lambda: stop)
+    stop = True
     with pytest.raises(SearchAborted):
-        maximal_core(SatOracle(fig1), (0, 0), should_stop=lambda: True)
+        maximal_core(oracle, (0, 0))
 
 
 def test_stop_between_probes_aborts(fig1):
-    # two polls happen inside the initial oracle call; the third is the
-    # growth loop's own check before the first raise probe
+    # after the build's one poll, two polls happen inside the initial
+    # oracle call; the third is the growth loop's own check before the
+    # first raise probe
     calls = {"n": 0}
 
     def stop() -> bool:
         calls["n"] += 1
         return calls["n"] > 2
 
+    oracle = SatOracle(fig1, should_stop=stop)
+    calls["n"] = 0
     with pytest.raises(SearchAborted, match="stopped during core growth"):
-        maximal_core(SatOracle(fig1), (0, 0), should_stop=stop)
+        maximal_core(oracle, (0, 0))
 
 
 def test_grown_cores_are_maximal_on_random_instances(corpus):
@@ -120,9 +126,9 @@ def test_grown_cores_are_maximal_on_random_instances(corpus):
 class _Counting(SatOracle):
     calls = 0
 
-    def solve_under_vector(self, v, should_stop=None):
+    def solve_under_vector(self, v):
         self.calls += 1
-        return super().solve_under_vector(v, should_stop)
+        return super().solve_under_vector(v)
 
 
 def test_skipped_probes_do_not_change_growth(corpus):

@@ -292,7 +292,7 @@ def test_clause_generation_polls_the_halt_predicate(monkeypatch):
 
 def test_seeding_fig1_closes_the_gap(fig1):
     pool = CorePool()
-    assert seed_disjoint_cores(fig1, pool) == 1
+    assert seed_disjoint_cores(fig1, pool, SatOracle(fig1)) == 1
     assert pool.cores == [(5, 5)]
     assert (pool.lb, pool.ub) == (20, 20)
 
@@ -330,7 +330,7 @@ def test_seeding_stops_at_a_sat_first_probe():
     # one function: the all-minimum vector is always satisfiable
     w = Wcsp.build(1, [2], [((0,), {(0,): 0, (1,): 5})], top=10, name="one")
     pool = CorePool()
-    assert seed_disjoint_cores(w, pool) == 0
+    assert seed_disjoint_cores(w, pool, SatOracle(w)) == 0
     assert pool.cores == [] and pool.lb == 0 and pool.ub == 0
 
 
@@ -448,28 +448,25 @@ def test_lub_loops_search_one_shared_problem(fig1, two_blocks, monkeypatch):
 # ---------------------------------------------------------------- worker errors
 
 
-def test_threaded_worker_crash_surfaces(fig1, monkeypatch):
-    # hs_lub once ran its two workers on threads; it now alternates them on
-    # the caller's thread, and an exception in the UB worker's hitting search
-    # or in either worker's core growth reaches the caller unwrapped.
+@pytest.mark.parametrize(
+    "alg, target",
+    [
+        (hs_lb, "maximal_core"),
+        (hs_ub, "maximal_core"),
+        (hs_lub, "maximal_core"),
+        (hs_lub, "cost_bounded_hitting_vector"),
+    ],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_sequential_worker_crash_propagates_raw(fig1, monkeypatch, alg, target):
+    """An exception in a loop's core growth, or in the UB loop's hitting
+    search under hs_lub, reaches the caller unwrapped."""
     def boom(*args, **kwargs):
         raise ValueError("boom")
 
-    for target in ("cost_bounded_hitting_vector", "maximal_core"):
-        with monkeypatch.context() as m:
-            m.setattr(engine_mod, target, boom)
-            with pytest.raises(ValueError, match="boom"):
-                hs_lub(fig1, time_limit=10)
-
-
-def test_sequential_worker_crash_propagates_raw(fig1, monkeypatch):
-    def boom(*args, **kwargs):
-        raise ValueError("boom")
-
-    monkeypatch.setattr(engine_mod, "maximal_core", boom)
-    for alg in (hs_lb, hs_ub):
-        with pytest.raises(ValueError, match="boom"):
-            alg(fig1, time_limit=10)
+    monkeypatch.setattr(engine_mod, target, boom)
+    with pytest.raises(ValueError, match="boom"):
+        alg(fig1, time_limit=10)
 
 
 # ---------------------------------------------------------------- components

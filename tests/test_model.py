@@ -172,12 +172,12 @@ def test_level_table_inverts_levels(fig1, corpus):
             assert all(f.levels[f.index[c]] == c for c in f.levels)
 
 
-def test_validate_vector(fig1):
-    assert fig1.validate_vector([5, 20]) == (5, 20)
+def test_level_indices(fig1):
+    assert fig1.level_indices([5, 20]) == [1, 2]
     with pytest.raises(ValueError, match="not a level"):
-        fig1.validate_vector((5, 7))
+        fig1.level_indices((5, 7))
     with pytest.raises(ValueError, match="length"):
-        fig1.validate_vector((5,))
+        fig1.level_indices((5,))
 
 
 def test_validate_assignment(fig1):

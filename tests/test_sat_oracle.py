@@ -7,12 +7,16 @@ import sys
 import pytest
 
 from hswcsp import (
+    INF,
+    CorePool,
     Encoding,
     SatOracle,
     SearchAborted,
     Wcsp,
     generate,
     leq,
+    maximal_core,
+    seed_disjoint_cores,
 )
 from hswcsp.bruteforce import vector_is_solution
 from hswcsp.cdcl import CdclSolver
@@ -94,9 +98,19 @@ def test_vector_validation_propagates(fig1):
 
 @each_backend
 def test_should_stop_aborts(fig1, backend):
-    oracle = SatOracle(fig1, backend)
+    """An oracle stops on the predicate it was built with: in its own
+    queries, in core growth and in seeding, none of which takes another."""
+    stop = False
+    oracle = SatOracle(fig1, backend, should_stop=lambda: stop)
+    stop = True
     with pytest.raises(SearchAborted):
-        oracle.solve_under_vector((0, 0), should_stop=lambda: True)
+        oracle.solve_under_vector((0, 0))
+    with pytest.raises(SearchAborted):
+        maximal_core(oracle, (0, 0))
+    pool = CorePool()
+    with pytest.raises(SearchAborted):
+        seed_disjoint_cores(fig1, pool, oracle)
+    assert pool.cores == [] and (pool.lb, pool.ub) == (0, INF)
 
 
 def test_incremental_reuse_stays_correct(fig1):
