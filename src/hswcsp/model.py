@@ -66,9 +66,9 @@ class CostFunction:
     """Dense table cost function.
 
     `table` maps every value tuple of the scope to a nonnegative integer
-    cost. `levels` is the ascending tuple of distinct sub-top costs; entries
-    clamped to the instance top are dead weight kept only so the table stays
-    dense (a matching hard constraint forbids those tuples).
+    cost, at most the instance top. An entry at top forbids its tuple, and
+    it is the only record that it does. `levels` is the ascending tuple of
+    distinct sub-top costs.
     """
 
     scope: tuple[int, ...]
@@ -102,9 +102,9 @@ class Wcsp:
 
     Invariants are validated at construction: at least one cost function,
     every domain nonempty, scopes in range without repeats, tables dense
-    with nonnegative costs, levels consistent with tables. Use
-    :meth:`Wcsp.build` to construct from raw tables; it lifts costs at or
-    above `top` into hard constraints first.
+    with costs from 0 to `top`, levels consistent with tables. Use
+    :meth:`Wcsp.build` to construct from raw tables; it clamps costs above
+    `top` to `top` first.
     """
 
     num_vars: int
@@ -129,7 +129,7 @@ class Wcsp:
             scope = _check_scope(hc.scope, self.num_vars)
             for t in hc.forbidden:
                 self._check_tuple(scope, t)
-        max_sum = 0
+        max_sum, top = 0, self.top
         for f in self.cost_functions:
             scope = _check_scope(f.scope, self.num_vars)
             full = 1
@@ -143,16 +143,16 @@ class Wcsp:
             sub_top = set()
             for t, c in f.table.items():
                 self._check_tuple(scope, t)
-                if not isinstance(c, int) or c < 0:
-                    raise ValueError(f"negative or non-integer cost {c!r}")
+                if not isinstance(c, int) or c < 0 or c > top:
+                    raise ValueError(f"negative, non-integer or above-top cost {c!r}")
                 if c >= _COST_LIMIT:
                     raise ValueError(f"cost {c} exceeds the 64-bit budget")
-                if c < self.top:
+                if c < top:
                     sub_top.add(c)
             if not sub_top:
                 raise ValueError(
                     f"function over scope {scope} has no sub-top cost; "
-                    "it should have been lifted to a hard constraint"
+                    "a table that only forbids is a hard constraint"
                 )
             if f.levels != tuple(sorted(sub_top)):
                 raise ValueError(f"levels {f.levels} do not match table")
@@ -179,10 +179,10 @@ class Wcsp:
     ) -> "Wcsp":
         """Normalize raw tables into an instance.
 
-        Table entries with cost >= top become forbidden tuples of a new hard
-        constraint on the same scope and are clamped to exactly top in the
-        table. A function whose every sub-top cost is 0 and that has at
-        least one lifted tuple is ingested as a pure hard constraint.
+        Table entries with cost >= top are clamped to exactly top, the one
+        record that their tuple is forbidden. A table that forbids something
+        and whose every sub-top cost is 0 becomes a hard constraint instead;
+        those and `hard` are the only hard constraints.
         """
         hcs = [
             HardConstraint(tuple(scope), frozenset(map(tuple, tuples)))
@@ -191,14 +191,11 @@ class Wcsp:
         fns = []
         for scope, table in functions:
             scope = tuple(scope)
-            lifted = frozenset(t for t, c in table.items() if c >= top)
-            if lifted:
-                hcs.append(HardConstraint(scope, lifted))
-                if is_pure_hard(table, top):
-                    continue
-                table = {t: (top if c >= top else c) for t, c in table.items()}
-            else:
-                table = dict(table)
+            forbidden = frozenset(t for t, c in table.items() if c >= top)
+            if forbidden and is_pure_hard(table, top):
+                hcs.append(HardConstraint(scope, forbidden))
+                continue
+            table = {t: min(c, top) for t, c in table.items()} if forbidden else dict(table)
             sub_top = {c for c in table.values() if c < top}
             fns.append(CostFunction(scope, table, tuple(sorted(sub_top))))
         return cls(num_vars, tuple(domains), tuple(hcs), tuple(fns), top, name)

@@ -1,12 +1,13 @@
 """CNF oracle answering "is this cost vector a solution vector?".
 
 Direct encoding: one boolean per (variable, value) with exactly-one
-clauses, one unconditional clause per hard-forbidden tuple, and per cost
-function one assumption selector per non-minimum level. Asserting selector
-s(i, j) forbids every tuple of function i costing exactly levels[j], so
-asserting the selectors of all levels strictly above v_i enforces
-f_i <= v_i. With no assumptions the formula is satisfiable exactly when
-the hard constraints alone are.
+clauses, one unconditional clause per forbidden tuple (listed by a hard
+constraint, or a table entry at top), and per cost function one
+assumption selector per non-minimum level. Asserting selector s(i, j)
+forbids every tuple of function i costing exactly levels[j], so asserting
+the selectors of all levels strictly above v_i enforces f_i <= v_i. With
+no assumptions the formula is satisfiable exactly when some assignment
+avoids every forbidden tuple.
 
 Every UNSAT verdict carries a core: a cost vector that dominates the query
 and is itself UNSAT. The backend reports which selectors failed (its
@@ -58,18 +59,19 @@ from .model import SearchAborted, Wcsp
 
 @dataclass(frozen=True)
 class OracleVerdict:
-    """A SAT answer carries a witness assignment; an UNSAT answer carries a
-    core vector that dominates the query (see the module docstring)."""
+    """A SAT answer carries a witness assignment, an UNSAT answer a core
+    vector that dominates the query (see the module docstring), never both."""
 
-    satisfiable: bool
-    witness: tuple[int, ...] | None
-    core: tuple[int, ...] | None
+    witness: tuple[int, ...] | None = None
+    core: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if (self.witness is not None) != self.satisfiable:
-            raise ValueError("a verdict has a witness exactly when it is SAT")
-        if (self.core is not None) == self.satisfiable:
-            raise ValueError("a verdict has a core exactly when it is UNSAT")
+        if (self.witness is None) == (self.core is None):
+            raise ValueError("a verdict has either a witness or a core")
+
+    @property
+    def satisfiable(self) -> bool:
+        return self.witness is not None
 
 
 class SatBackend(Protocol):
@@ -220,9 +222,11 @@ class Encoding:
 
     def clauses(self) -> Iterator[list[int]]:
         """Every clause of the instance, in a fixed order: per variable an
-        exactly-one group, then one clause per hard-forbidden tuple, then
-        one guarded clause per non-minimum-cost tuple, which ties the tuple
-        to its level selector."""
+        exactly-one group, then one clause per tuple a hard constraint
+        forbids, then per cost function and tuple, in table order, an
+        unconditional clause if the tuple's entry is at top, or a guarded
+        clause tying it to its level selector if it costs a non-minimum
+        level."""
         w = self.w
         for x, d in enumerate(w.domains):
             vv = self.value_var[x]
@@ -235,12 +239,11 @@ class Encoding:
                 yield [-self.value_var[x][val] for x, val in zip(hc.scope, t)]
         for i, f in enumerate(w.cost_functions):
             for t in sorted(f.table):
-                j = f.index.get(f.table[t])
-                if not j:
-                    continue  # hard-forbidden or minimum level: no guard
-                yield [-self.selector_var[i][j - 1]] + [
-                    -self.value_var[x][val] for x, val in zip(f.scope, t)
-                ]
+                j = f.index.get(f.table[t])  # None: at top, forbidden outright
+                if j == 0:
+                    continue  # minimum level: no clause
+                lits = [-self.value_var[x][val] for x, val in zip(f.scope, t)]
+                yield lits if j is None else [-self.selector_var[i][j - 1]] + lits
 
     def assumptions_for(self, v: Sequence[int]) -> list[int]:
         """Selector literals asserting f_i <= v_i for every function: the
@@ -325,13 +328,11 @@ class SatOracle:
 
     def _run(self, assumptions: list[int]) -> OracleVerdict:
         if not self.solver.solve(assumptions, should_stop=self.should_stop):
-            return OracleVerdict(
-                False, None, self.encoding.core_for(self.solver.conflict)
-            )
-        return OracleVerdict(True, self.encoding.decode(self.solver.model), None)
+            return OracleVerdict(core=self.encoding.core_for(self.solver.conflict))
+        return OracleVerdict(witness=self.encoding.decode(self.solver.model))
 
     def solve_csp(self) -> OracleVerdict:
-        """Feasibility of the hard constraints alone (no cost bounds)."""
+        """Whether any assignment avoids every forbidden tuple (no cost bounds)."""
         return self._run([])
 
     def solve_under_vector(self, v: Sequence[int]) -> OracleVerdict:
@@ -390,7 +391,7 @@ class SatOracle:
             witness, cost = self.solutions[(fit & -fit).bit_length() - 1]
             if any(c > vi for c, vi in zip(cost, v)):
                 raise RuntimeError(f"remembered solution {cost} does not fit {v}")
-            return OracleVerdict(True, witness, None)
+            return OracleVerdict(witness=witness)
         over = (1 << len(self.cores)) - 1
         for row, t in zip(self.under, ts):
             if not over:
@@ -400,5 +401,5 @@ class SatOracle:
             core = self.cores[(over & -over).bit_length() - 1]
             if any(c < vi for c, vi in zip(core, v)):
                 raise RuntimeError(f"remembered core {core} does not dominate {v}")
-            return OracleVerdict(False, None, core)
+            return OracleVerdict(core=core)
         return None

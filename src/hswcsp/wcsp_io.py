@@ -12,10 +12,11 @@ comments ignored:
 
 Variables and values are 0-based. Costs at or above top are hard-forbidden.
 A block whose sub-top costs are all zero and that forbids something becomes
-a pure hard constraint; any other block becomes a cost function with its
-at-or-above-top tuples lifted into a hard constraint. A file whose blocks
-are all pure hard constraints is a plain CSP; it gets one all-zero unary
-cost function, so its optimum is 0 when it is feasible.
+a pure hard constraint; any other block becomes a cost function whose
+at-or-above-top entries are clamped to top, and that entry is the one
+record that its tuple is forbidden. A file whose blocks are all pure hard
+constraints is a plain CSP; it gets one all-zero unary cost function, so
+its optimum is 0 when it is feasible.
 """
 
 from __future__ import annotations
@@ -150,12 +151,11 @@ def parse_wcsp_file(path: str) -> Wcsp:
 
 
 def wcsp_to_text(w: Wcsp) -> str:
-    """Serialize an instance; parse_wcsp(wcsp_to_text(w)) evaluates
-    identically.
-
-    Cost functions are written with default 0 and explicit nonzero tuples in
-    lexicographic order; hard constraints become blocks whose forbidden
-    tuples carry cost top.
+    """Serialize an instance as text: parse_wcsp(text) evaluates
+    identically, and if Wcsp.build made w, wcsp_to_text(parse_wcsp(text))
+    is text again. Cost functions are written with default 0 and explicit
+    nonzero tuples (entries at top included) in lexicographic order; hard
+    constraints become blocks whose forbidden tuples carry cost top.
     """
     # a hard constraint forbidding nothing is unwritable: a zero-tuple block
     # would read back as an all-zero cost function

@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 
@@ -36,6 +37,38 @@ def corpus() -> list[tuple[Wcsp, int]]:
         ws = optimal_cost(w)
         assert ws is not None
         out.append((w, ws))
+    return out
+
+
+@pytest.fixture(scope="session")
+def top_corpus() -> list[Wcsp]:
+    """40 small generated instances rebuilt through Wcsp.build with about a
+    third of their table entries raised to top or one above it. generate
+    keeps every cost below top, so these are the instances where a table
+    entry at top is what forbids a tuple. The last function is kept as
+    generated, so every instance keeps a cost function; some blocks become
+    pure hard constraints and some instances are infeasible."""
+    rng = random.Random(16)
+    out = []
+    for seed in range(40):
+        g = generate(
+            seed=seed,
+            num_vars=2 + seed % 3,
+            max_dom=2 + seed % 2,
+            num_funcs=2 + seed % 3,
+            cost_range=6,
+            hard_density=0.3 if seed % 2 else 0.0,
+        )
+        functions = [
+            (f.scope, {
+                t: g.top + rng.randrange(2) if rng.random() < 0.35 else c
+                for t, c in f.table.items()
+            })
+            for f in g.cost_functions[:-1]
+        ]
+        functions.append((g.cost_functions[-1].scope, g.cost_functions[-1].table))
+        hard = [(hc.scope, hc.forbidden) for hc in g.hard_constraints]
+        out.append(Wcsp.build(g.num_vars, g.domains, functions, hard, g.top, g.name))
     return out
 
 

@@ -36,16 +36,16 @@ def test_evaluate_flags_top_and_hards():
         top=50,
         name="t",
     )
-    # (1,0) costs 99 >= top: lifted to a hard constraint and clamped
+    # (1,0) costs 99 >= top: clamped, and the table entry alone forbids it
     assert w.cost_functions[0].table[(1, 0)] == 50
-    assert len(w.hard_constraints) == 2
+    assert len(w.hard_constraints) == 1
     assert not w.evaluate((1, 0)).feasible  # at top
     assert not w.evaluate((0, 1)).feasible  # forbidden x0=0
     assert w.evaluate((1, 1)) == (1, (1,), True)
 
 
 def test_build_drops_pure_hard_blocks():
-    # all sub-top costs zero plus a lifted tuple: becomes a hard constraint
+    # all sub-top costs zero plus a tuple at top: becomes a hard constraint
     w = Wcsp.build(
         2,
         [2, 2],
@@ -100,6 +100,14 @@ def test_constructor_rejects_inconsistent_levels():
         Wcsp(1, (2,), (), (f,), top=10)
 
 
+def test_constructor_rejects_cost_above_top():
+    # Wcsp.build clamps to top; a table above it would evaluate differently
+    # once written and read back
+    f = CostFunction((0,), {(0,): 1, (1,): 7}, (1,))
+    with pytest.raises(ValueError, match="above-top cost 7"):
+        Wcsp(1, (2,), (), (f,), 5)
+
+
 def test_hard_constraint_forbids():
     hc = HardConstraint((1,), frozenset({(0,)}))
     assert hc.forbids((5, 0))
@@ -108,7 +116,7 @@ def test_hard_constraint_forbids():
 
 def _random_build(rng: random.Random) -> Wcsp:
     """Random tables of arity 1 to 3 with some costs at or above top, so
-    that Wcsp.build lifts them; the last function is unary and all sub-top."""
+    that Wcsp.build clamps them; the last function is unary and all sub-top."""
     n = rng.randint(1, 4)
     doms = [rng.randint(1, 3) for _ in range(n)]
 

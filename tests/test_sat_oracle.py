@@ -8,18 +8,25 @@ import pytest
 
 from hswcsp import (
     INF,
+    INFEASIBLE,
+    OPTIMAL,
     CorePool,
     Encoding,
     SatOracle,
     SearchAborted,
     Wcsp,
     generate,
+    hs_lb,
+    hs_lub,
+    hs_ub,
     leq,
     maximal_core,
+    optimal_cost,
     seed_disjoint_cores,
 )
 from hswcsp.bruteforce import vector_is_solution
 from hswcsp.cdcl import CdclSolver
+from hswcsp.model import CostFunction
 from hswcsp.sat_oracle import NaiveSolver, OracleVerdict
 
 BACKENDS = (CdclSolver, NaiveSolver)
@@ -143,8 +150,10 @@ def test_naive_solver_assumption_conflict():
     assert not s.solve([a, -a])
 
 
-def test_differential_small_corpus():
-    """CDCL and naive verdicts against brute force over random probes."""
+def test_differential_small_corpus(top_corpus):
+    """CDCL and naive verdicts against brute force over random probes, on
+    generated instances and on instances with table entries at top; and
+    every strategy's answer on the latter against the brute-force optimum."""
     checked = 0
     for seed in range(40):
         w = generate(
@@ -165,15 +174,42 @@ def test_differential_small_corpus():
             checked += 1
     assert checked >= 150
 
+    # built without Wcsp.build: a table entry at top is the only record of
+    # its forbidden tuple, and the second instance's first function only
+    # forbids (Wcsp.build would make it a hard constraint)
+    direct = [
+        Wcsp(1, (2,), (), (CostFunction((0,), {(0,): 1, (1,): 5}, (1,)),), 5),
+        Wcsp(2, (2, 3), (), (
+            CostFunction((0, 1), {(0, 0): 0, (0, 1): 4, (0, 2): 0,
+                                  (1, 0): 4, (1, 1): 0, (1, 2): 4}, (0,)),
+            CostFunction((1,), {(0,): 2, (1,): 3, (2,): 1}, (1, 2, 3)),
+        ), 4),
+    ]
+    for n, w in enumerate(top_corpus + direct):
+        oracles = [SatOracle(w, b) for b in BACKENDS]
+        vectors = list(itertools.product(*(f.levels for f in w.cost_functions)))
+        for v in vectors[n % 3::3] + [w.min_vector(), w.max_vector()]:
+            expected = vector_is_solution(w, v)
+            for oracle in oracles:
+                assert oracle.solve_under_vector(v).satisfiable == expected
+        best = optimal_cost(w)
+        for strategy in (hs_lb, hs_ub, hs_lub):
+            result = strategy(w)
+            if best is None:
+                assert result.status == INFEASIBLE
+            else:
+                assert (result.status, result.optimum) == (OPTIMAL, best)
+    assert any(optimal_cost(w) is None for w in top_corpus)
+
 
 def _linear_recall(oracle, v):
     """What recall must answer, by a scan over the remembered verdicts."""
     for witness, cost in oracle.solutions:
         if leq(cost, v):
-            return OracleVerdict(True, witness, None)
+            return OracleVerdict(witness=witness)
     for core in oracle.cores:
         if leq(v, core):
-            return OracleVerdict(False, None, core)
+            return OracleVerdict(core=core)
     return None
 
 
@@ -275,14 +311,12 @@ def _blaming(lit):
 
 
 def test_check_verdict_shape():
-    with pytest.raises(ValueError, match="witness"):
-        OracleVerdict(True, None, None)
-    with pytest.raises(ValueError, match="witness"):
-        OracleVerdict(False, (0,), (1,))
-    with pytest.raises(ValueError, match="core"):
-        OracleVerdict(False, None, None)
-    with pytest.raises(ValueError, match="core"):
-        OracleVerdict(True, (0,), (1,))
+    with pytest.raises(ValueError, match="either a witness or a core"):
+        OracleVerdict(None, None)
+    with pytest.raises(ValueError, match="either a witness or a core"):
+        OracleVerdict((0,), (1,))
+    assert OracleVerdict(witness=(0,)).satisfiable
+    assert not OracleVerdict(core=(1,)).satisfiable
 
 
 def test_check_witness_respects_bounds(fig1):

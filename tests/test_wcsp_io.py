@@ -10,6 +10,7 @@ from hswcsp import (
     ParseError,
     TraceEvent,
     TraceWriter,
+    Wcsp,
     generate,
     hs_lub,
     parse_wcsp,
@@ -71,6 +72,11 @@ def test_parse_error_reports_line_number():
     assert err is not None and err.line == 4
 
 
+def _written(w):
+    """The hard constraints that wcsp_to_text writes: all but empty ones."""
+    return tuple(hc for hc in w.hard_constraints if hc.forbidden)
+
+
 @given(st.integers(0, 5000))
 def test_roundtrip_evaluates_identically(seed):
     w = generate(
@@ -81,18 +87,41 @@ def test_roundtrip_evaluates_identically(seed):
         cost_range=9,
         hard_density=0.4 if seed % 2 else 0.0,
     )
-    w2 = parse_wcsp(wcsp_to_text(w))
+    text = wcsp_to_text(w)
+    w2 = parse_wcsp(text)
     assert w2.name == w.name
     assert w2.num_vars == w.num_vars and w2.domains == w.domains
     assert w2.top == w.top
     assert w2.levels_per_function() == w.levels_per_function()
     for a in w.assignments():
         assert w.evaluate(a) == w2.evaluate(a)
+    assert wcsp_to_text(w2) == text
+    assert w2.hard_constraints == _written(w)
+
+
+def test_text_is_a_fixed_point_with_top_entries(top_corpus):
+    """A table entry at top is the one record of its forbidden tuple: the
+    text of a parsed text is the same text, and reading it creates no hard
+    constraint that the instance did not have, so round trips do not grow
+    the instance."""
+    assert any(
+        c == w.top for w in top_corpus for f in w.cost_functions
+        for c in f.table.values()
+    )
+    table = {(0, 0): 0, (0, 1): 3, (1, 0): 9, (1, 1): 1}
+    example = Wcsp.build(2, (2, 2), [((0, 1), table)], top=9)
+    assert example.hard_constraints == ()
+    for w in top_corpus + [example]:
+        text = wcsp_to_text(w)
+        w2 = parse_wcsp(text)
+        assert wcsp_to_text(w2) == text
+        assert w2.hard_constraints == _written(w)
+        assert w2.cost_functions == w.cost_functions
+        for a in w.assignments():
+            assert w.evaluate(a) == w2.evaluate(a)
 
 
 def test_vacuous_hard_constraint_not_written():
-    from hswcsp import Wcsp
-
     w = Wcsp.build(1, [2], [((0,), {(0,): 1, (1,): 2})], hard=[((0,), [])], top=10)
     w2 = parse_wcsp(wcsp_to_text(w))
     assert w2.m == 1
