@@ -196,7 +196,9 @@ def generate(
     draw per scope tuple deciding whether it is forbidden.
 
     All domains have size max_dom and top = cost_range + 1, so generated
-    tables are entirely sub-top.
+    tables are entirely sub-top. A hard constraint whose draws forbid no
+    tuple is dropped by Wcsp.build; its draws are made all the same, so the
+    stream is the same either way.
     """
     if num_vars < 1:
         raise ValueError("num_vars must be positive")

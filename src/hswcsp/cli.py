@@ -112,15 +112,22 @@ def cmd_solve(args: argparse.Namespace, invocation: str) -> int:
     pool = CorePool()
     try:
         if args.trace is not None:
-            trace_file = open(args.trace, "w")
+            try:
+                trace_file = open(args.trace, "w")
+            except OSError as exc:
+                raise _InputError(f"cannot write {args.trace}: {exc.strerror or exc}")
             writer = TraceWriter(
                 trace_file,
                 comments=[f"invocation: {invocation}", f"instance: {w.name}"],
             )
             sink = writer.write
+        solver = {"lb": hs_lb, "ub": hs_ub, "lub": hs_lub}[args.alg]
         t0 = time.monotonic()
         try:
-            result = _dispatch_solve(w, args, sink, pool)
+            result = solver(
+                w, pool=pool, time_limit=args.time_limit,
+                seed_disjoint=args.seed_disjoint, trace=sink,
+            )
         except KeyboardInterrupt:
             # Ctrl-C: the pool still holds certified bounds, so report them
             lb, ub = pool.bounds()
@@ -151,16 +158,6 @@ def cmd_solve(args: argparse.Namespace, invocation: str) -> int:
         OPTIMAL: _EXIT_OK,
         INFEASIBLE: _EXIT_INFEASIBLE,
     }.get(result.status, _EXIT_TIMEOUT)
-
-
-def _dispatch_solve(
-    w: Wcsp, args: argparse.Namespace, sink, pool: CorePool
-) -> SolveResult:
-    solver = {"lb": hs_lb, "ub": hs_ub, "lub": hs_lub}[args.alg]
-    return solver(
-        w, pool=pool, time_limit=args.time_limit,
-        seed_disjoint=args.seed_disjoint, trace=sink,
-    )
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -52,9 +52,6 @@ class HardConstraint:
     scope: tuple[int, ...]
     forbidden: frozenset[tuple[int, ...]]
 
-    def forbids(self, assignment: Sequence[int]) -> bool:
-        return self.key(assignment) in self.forbidden
-
     @cached_property
     def key(self) -> Callable[[Sequence[int]], tuple[int, ...]]:
         """An assignment's value tuple on the scope."""
@@ -74,9 +71,6 @@ class CostFunction:
     scope: tuple[int, ...]
     table: dict[tuple[int, ...], int]
     levels: tuple[int, ...]
-
-    def cost(self, assignment: Sequence[int]) -> int:
-        return self.table[self.key(assignment)]
 
     @cached_property
     def key(self) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -102,9 +96,11 @@ class Wcsp:
 
     Invariants are validated at construction: at least one cost function,
     every domain nonempty, scopes in range without repeats, tables dense
-    with costs from 0 to `top`, levels consistent with tables. Use
-    :meth:`Wcsp.build` to construct from raw tables; it clamps costs above
-    `top` to `top` first.
+    with costs from 0 to `top`, levels consistent with tables, no table
+    that only forbids, no hard constraint that forbids nothing, and a
+    name that is one token not starting with `#`. An instance is thereby
+    canonical: its text reads back as an equal instance. Use
+    :meth:`Wcsp.build` to construct from raw tables.
     """
 
     num_vars: int
@@ -125,7 +121,13 @@ class Wcsp:
             raise ValueError("top must be a positive integer")
         if len(self.cost_functions) < 1:
             raise ValueError("instance needs at least one cost function")
+        if self.name.split() != [self.name] or self.name.startswith("#"):
+            raise ValueError(
+                f"name {self.name!r} must be one token not starting with '#'"
+            )
         for hc in self.hard_constraints:
+            if not hc.forbidden:
+                raise ValueError(f"hard constraint over {hc.scope} forbids nothing")
             scope = _check_scope(hc.scope, self.num_vars)
             for t in hc.forbidden:
                 self._check_tuple(scope, t)
@@ -140,7 +142,7 @@ class Wcsp:
                     f"table over scope {scope} is not dense "
                     f"({len(f.table)} of {full} tuples)"
                 )
-            sub_top = set()
+            sub_top, forbids = set(), False
             for t, c in f.table.items():
                 self._check_tuple(scope, t)
                 if not isinstance(c, int) or c < 0 or c > top:
@@ -149,9 +151,11 @@ class Wcsp:
                     raise ValueError(f"cost {c} exceeds the 64-bit budget")
                 if c < top:
                     sub_top.add(c)
-            if not sub_top:
+                else:
+                    forbids = True
+            if forbids and sub_top <= {0}:
                 raise ValueError(
-                    f"function over scope {scope} has no sub-top cost; "
+                    f"function over scope {scope} only forbids; "
                     "a table that only forbids is a hard constraint"
                 )
             if f.levels != tuple(sorted(sub_top)):
@@ -177,28 +181,35 @@ class Wcsp:
         top: int = 1,
         name: str = "wcsp",
     ) -> "Wcsp":
-        """Normalize raw tables into an instance.
+        """Normalize raw tables into the canonical instance.
 
         Table entries with cost >= top are clamped to exactly top, the one
         record that their tuple is forbidden. A table that forbids something
         and whose every sub-top cost is 0 becomes a hard constraint instead;
-        those and `hard` are the only hard constraints.
+        those and `hard` are the only hard constraints, and one that forbids
+        nothing is dropped. If hard constraints remain but no cost function
+        does, the instance is a plain CSP: it gets one all-zero unary cost
+        function, so its optimum is 0 when it is feasible.
         """
         hcs = [
             HardConstraint(tuple(scope), frozenset(map(tuple, tuples)))
             for scope, tuples in hard
         ]
+        hcs = [hc for hc in hcs if hc.forbidden]
         fns = []
         for scope, table in functions:
             scope = tuple(scope)
             forbidden = frozenset(t for t, c in table.items() if c >= top)
-            if forbidden and is_pure_hard(table, top):
+            if forbidden and all(c == 0 or c >= top for c in table.values()):
                 hcs.append(HardConstraint(scope, forbidden))
                 continue
             table = {t: min(c, top) for t, c in table.items()} if forbidden else dict(table)
             sub_top = {c for c in table.values() if c < top}
             fns.append(CostFunction(scope, table, tuple(sorted(sub_top))))
-        return cls(num_vars, tuple(domains), tuple(hcs), tuple(fns), top, name)
+        domains = tuple(domains)
+        if hcs and not fns and domains:
+            fns.append(CostFunction((0,), {(a,): 0 for a in range(domains[0])}, (0,)))
+        return cls(num_vars, domains, tuple(hcs), tuple(fns), top, name)
 
     @property
     def m(self) -> int:
@@ -251,14 +262,6 @@ class Wcsp:
             hc.key(a) in hc.forbidden for hc in self.hard_constraints
         )
         return Evaluation(sum(per), per, feasible)
-
-
-def is_pure_hard(table: dict[tuple[int, ...], int], top: int) -> bool:
-    """Whether Wcsp.build ingests this table as a pure hard constraint: it
-    forbids something, and every cost below top is 0."""
-    return any(c >= top for c in table.values()) and all(
-        c == 0 or c >= top for c in table.values()
-    )
 
 
 def leq(u: Sequence[int], v: Sequence[int]) -> bool:

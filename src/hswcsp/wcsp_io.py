@@ -11,12 +11,9 @@ comments ignored:
     <val_1> ... <val_arity> <cost>
 
 Variables and values are 0-based. Costs at or above top are hard-forbidden.
-A block whose sub-top costs are all zero and that forbids something becomes
-a pure hard constraint; any other block becomes a cost function whose
-at-or-above-top entries are clamped to top, and that entry is the one
-record that its tuple is forbidden. A file whose blocks are all pure hard
-constraints is a plain CSP; it gets one all-zero unary cost function, so
-its optimum is 0 when it is feasible.
+Reading hands the blocks to Wcsp.build, which alone decides what each
+block becomes (a cost function or a hard constraint); this module only
+reads and writes text.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-from .model import Wcsp, is_pure_hard
+from .model import Wcsp
 
 
 class ParseError(ValueError):
@@ -136,8 +133,6 @@ def parse_wcsp(text: str) -> Wcsp:
 
     if not toks.exhausted():
         raise ParseError(toks._items[toks._pos][1], "trailing tokens after last function block")
-    if all(is_pure_hard(table, top) for _, table in functions):
-        functions.append(((0,), {(a,): 0 for a in range(domains[0])}))
 
     try:
         return Wcsp.build(num_vars, domains, functions, top=top, name=name)
@@ -151,16 +146,12 @@ def parse_wcsp_file(path: str) -> Wcsp:
 
 
 def wcsp_to_text(w: Wcsp) -> str:
-    """Serialize an instance as text: parse_wcsp(text) evaluates
-    identically, and if Wcsp.build made w, wcsp_to_text(parse_wcsp(text))
-    is text again. Cost functions are written with default 0 and explicit
+    """Serialize an instance as text: parse_wcsp(wcsp_to_text(w)) == w for
+    every valid w. Cost functions are written with default 0 and explicit
     nonzero tuples (entries at top included) in lexicographic order; hard
-    constraints become blocks whose forbidden tuples carry cost top.
+    constraints follow, as blocks whose forbidden tuples carry cost top.
     """
-    # a hard constraint forbidding nothing is unwritable: a zero-tuple block
-    # would read back as an all-zero cost function
-    hards = [hc for hc in w.hard_constraints if hc.forbidden]
-    blocks = len(w.cost_functions) + len(hards)
+    blocks = len(w.cost_functions) + len(w.hard_constraints)
     lines = [
         f"{w.name} {w.num_vars} {max(w.domains)} {blocks} {w.top}",
         " ".join(str(d) for d in w.domains),
@@ -169,7 +160,7 @@ def wcsp_to_text(w: Wcsp) -> str:
         rows = [(t, c) for t, c in sorted(f.table.items()) if c != 0]
         lines.append(f"{len(f.scope)} {' '.join(map(str, f.scope))} 0 {len(rows)}")
         lines += [f"{' '.join(map(str, t))} {c}" for t, c in rows]
-    for hc in hards:
+    for hc in w.hard_constraints:
         rows = sorted(hc.forbidden)
         lines.append(f"{len(hc.scope)} {' '.join(map(str, hc.scope))} 0 {len(rows)}")
         lines += [f"{' '.join(map(str, t))} {w.top}" for t in rows]

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 
@@ -70,6 +71,36 @@ def top_corpus() -> list[Wcsp]:
         hard = [(hc.scope, hc.forbidden) for hc in g.hard_constraints]
         out.append(Wcsp.build(g.num_vars, g.domains, functions, hard, g.top, g.name))
     return out
+
+
+def _random_build(rng: random.Random) -> Wcsp:
+    """Random tables of arity 1 to 3 with some costs at or above top, so
+    that Wcsp.build clamps them; the last function is unary and all sub-top.
+    Some hard constraints forbid nothing, so that Wcsp.build drops them."""
+    n = rng.randint(1, 4)
+    doms = [rng.randint(1, 3) for _ in range(n)]
+
+    def tuples(scope):
+        return itertools.product(*(range(doms[x]) for x in scope))
+
+    scopes = [rng.sample(range(n), rng.randint(1, min(n, 3))) for _ in range(3)]
+    funcs = [
+        (scope, {t: rng.choice((0, 1, 2, 5, 9)) for t in tuples(scope)})
+        for scope in scopes
+    ]
+    funcs.append(((0,), {(a,): a for a in range(doms[0])}))
+    hard = [
+        (scope, [t for t in tuples(scope) if rng.random() < 0.3])
+        for scope in rng.sample(scopes, 2)
+    ]
+    return Wcsp.build(n, doms, funcs, hard, top=5)
+
+
+@pytest.fixture(scope="session")
+def random_built() -> list[Wcsp]:
+    """40 instances of _random_build."""
+    rng = random.Random(2501)
+    return [_random_build(rng) for _ in range(40)]
 
 
 @pytest.fixture()

@@ -77,6 +77,13 @@ def test_parse_error_names_the_file(tmp_path, capsys):
     assert str(bad) in err
 
 
+def test_unwritable_trace_is_an_input_error(fig1_path, tmp_path, capsys):
+    trace = tmp_path / "missing" / "t.csv"
+    code, out, err = run(capsys, "solve", fig1_path, "--trace", str(trace))
+    assert (code, out) == (1, "")
+    assert f"cannot write {trace}" in err
+
+
 def test_trace_file_layout(fig1_path, tmp_path, capsys):
     trace = tmp_path / "t.csv"
     code, _, _ = run(capsys, "solve", fig1_path, "--alg", "lb", "--trace", str(trace))

@@ -1,12 +1,9 @@
-import itertools
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hswcsp import Wcsp, generate, hits, leq, parse_wcsp
-from hswcsp.model import CostFunction, Evaluation, HardConstraint, is_pure_hard
+from hswcsp.model import CostFunction, Evaluation, HardConstraint
 
 
 def test_fig1_shape(fig1):
@@ -110,39 +107,68 @@ def test_constructor_rejects_cost_above_top():
 
 def test_hard_constraint_forbids():
     hc = HardConstraint((1,), frozenset({(0,)}))
-    assert hc.forbids((5, 0))
-    assert not hc.forbids((5, 1))
+    assert hc.key((5, 0)) in hc.forbidden
+    assert hc.key((5, 1)) not in hc.forbidden
 
 
-def _random_build(rng: random.Random) -> Wcsp:
-    """Random tables of arity 1 to 3 with some costs at or above top, so
-    that Wcsp.build clamps them; the last function is unary and all sub-top."""
-    n = rng.randint(1, 4)
-    doms = [rng.randint(1, 3) for _ in range(n)]
-
-    def tuples(scope):
-        return itertools.product(*(range(doms[x]) for x in scope))
-
-    scopes = [rng.sample(range(n), rng.randint(1, min(n, 3))) for _ in range(3)]
-    funcs = [
-        (scope, {t: rng.choice((0, 1, 2, 5, 9)) for t in tuples(scope)})
-        for scope in scopes
-    ]
-    funcs.append(((0,), {(a,): a for a in range(doms[0])}))
-    hard = [
-        (scope, [t for t in tuples(scope) if rng.random() < 0.3])
-        for scope in rng.sample(scopes, 2)
-    ]
-    return Wcsp.build(n, doms, funcs, hard, top=5)
+def test_constructor_rejects_a_table_that_only_forbids():
+    # Wcsp.build makes such a table a hard constraint, and so would reading
+    # its text back
+    f = CostFunction((0,), {(0,): 0, (1,): 5}, (0,))
+    g = CostFunction((0,), {(0,): 1, (1,): 2}, (1, 2))
+    with pytest.raises(ValueError, match="only forbids"):
+        Wcsp(1, (2,), (), (f, g), 5)
 
 
-def test_evaluate_agrees_with_a_per_variable_reference(corpus):
-    """cost, forbids and evaluate read a scope's values through a cached
+def test_constructor_rejects_a_hard_constraint_that_forbids_nothing():
+    # its text block would read back as an all-zero cost function
+    f = CostFunction((0,), {(0,): 1, (1,): 2}, (1, 2))
+    with pytest.raises(ValueError, match="forbids nothing"):
+        Wcsp(1, (2,), (HardConstraint((0,), frozenset()),), (f,), 5)
+
+
+@pytest.mark.parametrize("name", ["a b", "#x", "", " a", "a\n"])
+def test_constructor_rejects_a_name_that_is_not_one_token(name):
+    # the text format reads the name as the first token of the first line
+    # that is not a comment
+    f = CostFunction((0,), {(0,): 1, (1,): 2}, (1, 2))
+    with pytest.raises(ValueError, match="one token"):
+        Wcsp(1, (2,), (), (f,), 5, name)
+
+
+def test_build_drops_hard_constraints_that_forbid_nothing():
+    w = Wcsp.build(
+        2, [2, 2], [((0,), {(0,): 1, (1,): 2})],
+        hard=[((0,), []), ((0, 1), [(1, 1)]), ((1,), ())], top=10,
+    )
+    assert w.hard_constraints == (HardConstraint((0, 1), frozenset({(1, 1)})),)
+
+
+def test_build_gives_a_plain_csp_the_zero_function():
+    # every table only forbids: each becomes a hard constraint, and the one
+    # cost function is the all-zero unary function over variable 0
+    w = Wcsp.build(
+        2, [3, 2],
+        [((1,), {(0,): 10, (1,): 0}), ((0, 1), {(0, 0): 0, (0, 1): 0,
+                                               (1, 0): 12, (1, 1): 0,
+                                               (2, 0): 0, (2, 1): 10})],
+        top=10,
+    )
+    assert w.hard_constraints == (
+        HardConstraint((1,), frozenset({(0,)})),
+        HardConstraint((0, 1), frozenset({(1, 0), (2, 1)})),
+    )
+    assert w.cost_functions == (
+        CostFunction((0,), {(0,): 0, (1,): 0, (2,): 0}, (0,)),
+    )
+
+
+def test_evaluate_agrees_with_a_per_variable_reference(corpus, random_built):
+    """key and evaluate read a scope's values through a cached
     itemgetter key; the reference reads them one variable at a time. On a
     unary scope itemgetter(x) returns the bare value, not a tuple, so the
     instances include unary functions and hard constraints, tables at top,
     and the all-zero unary function that a CSP-only file gets."""
-    rng = random.Random(2501)
     instances = [w for w, _ in corpus[:40]]
     instances += [
         generate(seed=s, num_vars=4, max_dom=3, num_funcs=4, max_arity=arity,
@@ -150,7 +176,7 @@ def test_evaluate_agrees_with_a_per_variable_reference(corpus):
         for s in range(10)
         for arity in (1, 2, 3)
     ]
-    instances += [_random_build(rng) for _ in range(40)]
+    instances += random_built
     instances.append(parse_wcsp("p 2 2 1 10\n2 2\n2 0 1 0 1\n0 0 10\n"))
     scopes = [c.scope for w in instances for c in w.cost_functions + w.hard_constraints]
     assert any(len(s) == 1 for s in scopes) and any(len(s) == 3 for s in scopes)
@@ -161,14 +187,14 @@ def test_evaluate_agrees_with_a_per_variable_reference(corpus):
         for a in w.assignments():
             per = []
             for f in w.cost_functions:
-                c = f.table[tuple(a[x] for x in f.scope)]
-                assert f.cost(a) == f.cost(list(a)) == c
-                per.append(c)
+                key = tuple(a[x] for x in f.scope)
+                assert f.key(a) == f.key(list(a)) == key
+                per.append(f.table[key])
             forbidden = False
             for hc in w.hard_constraints:
-                hit = tuple(a[x] for x in hc.scope) in hc.forbidden
-                assert hc.forbids(a) == hc.forbids(list(a)) == hit
-                forbidden = forbidden or hit
+                key = tuple(a[x] for x in hc.scope)
+                assert hc.key(a) == hc.key(list(a)) == key
+                forbidden = forbidden or key in hc.forbidden
             feasible = all(c < w.top for c in per) and not forbidden
             assert w.evaluate(a) == Evaluation(sum(per), tuple(per), feasible)
 
@@ -236,16 +262,24 @@ def test_leq_partial_order(pairs):
 
 
 @pytest.mark.parametrize(
-    "table",
+    "table, forbidden",
     [
-        {(0,): 0, (1,): 10},
-        {(0,): 12, (1,): 10},
-        {(0,): 0, (1,): 0},
-        {(0,): 3, (1,): 10},
-        {(0,): 3, (1,): 0},
+        ({(0,): 0, (1,): 10}, {(1,)}),
+        ({(0,): 12, (1,): 10}, {(0,), (1,)}),
+        ({(0,): 0, (1,): 0}, None),
+        ({(0,): 3, (1,): 10}, None),
+        ({(0,): 3, (1,): 0}, None),
     ],
 )
-def test_is_pure_hard_matches_build(table):
+def test_build_splits_pure_hard_tables(table, forbidden):
+    """A table that forbids something and costs 0 below top becomes a hard
+    constraint; any other table stays a cost function, clamped at top."""
     other = ((0,), {(0,): 1, (1,): 0})
     w = Wcsp.build(1, [2], [((0,), table), other], top=10)
-    assert is_pure_hard(table, 10) == (w.m == 1)
+    if forbidden is None:
+        assert w.hard_constraints == ()
+        clamped = {t: min(c, 10) for t, c in table.items()}
+        assert [f.table for f in w.cost_functions] == [clamped, other[1]]
+    else:
+        assert w.hard_constraints == (HardConstraint((0,), frozenset(forbidden)),)
+        assert [f.table for f in w.cost_functions] == [other[1]]

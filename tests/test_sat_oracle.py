@@ -175,16 +175,20 @@ def test_differential_small_corpus(top_corpus):
     assert checked >= 150
 
     # built without Wcsp.build: a table entry at top is the only record of
-    # its forbidden tuple, and the second instance's first function only
-    # forbids (Wcsp.build would make it a hard constraint)
+    # its forbidden tuple
     direct = [
         Wcsp(1, (2,), (), (CostFunction((0,), {(0,): 1, (1,): 5}, (1,)),), 5),
-        Wcsp(2, (2, 3), (), (
-            CostFunction((0, 1), {(0, 0): 0, (0, 1): 4, (0, 2): 0,
-                                  (1, 0): 4, (1, 1): 0, (1, 2): 4}, (0,)),
-            CostFunction((1,), {(0,): 2, (1,): 3, (2,): 1}, (1, 2, 3)),
-        ), 4),
     ]
+    # a first function that only forbids is rejected when built directly;
+    # Wcsp.build makes it a hard constraint
+    only_forbids = {(0, 0): 0, (0, 1): 4, (0, 2): 0, (1, 0): 4, (1, 1): 0, (1, 2): 4}
+    other = {(0,): 2, (1,): 3, (2,): 1}
+    with pytest.raises(ValueError, match="only forbids"):
+        Wcsp(2, (2, 3), (), (
+            CostFunction((0, 1), only_forbids, (0,)),
+            CostFunction((1,), other, (1, 2, 3)),
+        ), 4)
+    direct.append(Wcsp.build(2, (2, 3), [((0, 1), only_forbids), ((1,), other)], top=4))
     for n, w in enumerate(top_corpus + direct):
         oracles = [SatOracle(w, b) for b in BACKENDS]
         vectors = list(itertools.product(*(f.levels for f in w.cost_functions)))

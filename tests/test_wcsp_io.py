@@ -72,11 +72,6 @@ def test_parse_error_reports_line_number():
     assert err is not None and err.line == 4
 
 
-def _written(w):
-    """The hard constraints that wcsp_to_text writes: all but empty ones."""
-    return tuple(hc for hc in w.hard_constraints if hc.forbidden)
-
-
 @given(st.integers(0, 5000))
 def test_roundtrip_evaluates_identically(seed):
     w = generate(
@@ -96,7 +91,7 @@ def test_roundtrip_evaluates_identically(seed):
     for a in w.assignments():
         assert w.evaluate(a) == w2.evaluate(a)
     assert wcsp_to_text(w2) == text
-    assert w2.hard_constraints == _written(w)
+    assert w2.hard_constraints == w.hard_constraints
 
 
 def test_text_is_a_fixed_point_with_top_entries(top_corpus):
@@ -115,10 +110,29 @@ def test_text_is_a_fixed_point_with_top_entries(top_corpus):
         text = wcsp_to_text(w)
         w2 = parse_wcsp(text)
         assert wcsp_to_text(w2) == text
-        assert w2.hard_constraints == _written(w)
+        assert w2.hard_constraints == w.hard_constraints
         assert w2.cost_functions == w.cost_functions
         for a in w.assignments():
             assert w.evaluate(a) == w2.evaluate(a)
+
+
+@given(st.integers(0, 5000))
+def test_text_round_trip_is_exact_on_generated_instances(seed):
+    w = generate(
+        seed=seed,
+        num_vars=1 + seed % 5,
+        max_dom=1 + seed % 3,
+        num_funcs=1 + seed % 4,
+        cost_range=seed % 7,
+        hard_density=(1 + seed % 3) / 5,
+    )
+    assert parse_wcsp(wcsp_to_text(w)) == w
+
+
+def test_text_round_trip_is_exact(fig1, top_corpus, random_built):
+    plain_csp = parse_wcsp("p 2 2 1 10\n2 2\n2 0 1 0 1\n0 0 10\n")
+    for w in [fig1, plain_csp] + top_corpus + random_built:
+        assert parse_wcsp(wcsp_to_text(w)) == w
 
 
 def test_vacuous_hard_constraint_not_written():
