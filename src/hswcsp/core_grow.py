@@ -97,7 +97,6 @@ def maximal_core(
         )
         if not order:
             return tuple(v)
-        changed = False
         for _, i in order:
             if should_stop is not None and should_stop():
                 raise SearchAborted("stopped during core growth")
@@ -114,6 +113,3 @@ def maximal_core(
                 bound = verdict.core
             v[i] = raised
             idx[i] += 1
-            changed = True
-        if not changed:
-            return tuple(v)

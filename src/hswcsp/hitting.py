@@ -6,11 +6,12 @@ min_cost_hitting_vector and cost_bounded_hitting_vector, return a hitter
 or None, and None means that nothing hits the pool below the search's
 bound; with an unbounded budget, that nothing hits the pool at all. A
 pool holding a core at every maximum level is the one pool that nothing
-hits, and `HittingProblem.saturated` answers that in O(1). The search works in
-level-index space: raising component i above a core's level only ever
-targets the next level up, and siblings in the branch tree are capped at
-the core's level so the subtrees partition the solution space (split by the
-first component that ends up above the core).
+hits, and `HittingProblem.saturated` answers that in O(1). Both run one
+branch-and-bound search, which returns the first hitter it reaches below
+a fixed budget. It works in level-index space: raising component i above
+a core's level only ever targets the next level up, and siblings in the
+branch tree are capped at the core's level so the subtrees partition the
+solution space (split by the first component that ends up above the core).
 
 A HittingProblem is meant to persist across the steps of a solve: the
 caller appends each newly pooled core with add_cores, at O(m * levels)
@@ -23,10 +24,10 @@ changes no hitting cost; and the engine never pools one, because grown
 cores are maximal. Because cores are only ever added, the minimum
 hitting cost only rises, so the problem keeps a floor, a lower bound on
 it. The cost search deepens from the floor (IDA*, Korf 1985): each try
-looks only for a hitter costing no more than the floor and stops at the
-first one, which is then optimal. A refuted try proves a higher floor,
-the least cost plus packing bound among the nodes it pruned, and the next
-try starts from there.
+searches at the budget floor + 1, so, costs being integers, the first
+hitter it finds costs the floor and is optimal. A refuted try proves a
+higher floor, the least cost plus packing bound among the nodes it
+pruned, and the next try starts from there.
 
 The tie-break among optimal hitters (lexicographically least level-index
 tuple) is a separate pass. It fixes components left to right at the lowest
@@ -34,8 +35,9 @@ level whose suffix can still be completed within the optimal cost. The
 optimal hitter the cost search found serves as a witness that the current
 prefix can be completed, so only the levels below the witness's need a
 check; a successful check yields a completion that becomes the new
-witness. A check is the same branch-and-bound search, run on the same
-persistent problem with the prefix fixed; no reduced problem is built.
+witness. A check is the same search at the budget optimal cost + 1, run
+on the same persistent problem with the prefix fixed; no reduced problem
+is built.
 
 A search node keeps one entry per core its vector leaves unhit: the
 core's raise options and its cheapest raise. A child differs from its
@@ -59,7 +61,7 @@ from .model import SearchAborted
 
 
 class HittingProblem:
-    """Per-function level sets plus an append-only pool of cores, index-encoded.
+    """Per-function integer level sets plus an append-only pool of cores, index-encoded.
 
     Built empty and grown with add_cores. Cores keep their first-appearance
     order and their index for the life of the problem; a duplicate of a
@@ -94,8 +96,9 @@ class HittingProblem:
         if not self.levels:
             raise ValueError("need at least one function")
         for ls in self.levels:
-            if not ls or any(a >= b for a, b in zip(ls, ls[1:])):
-                raise ValueError(f"levels {ls} must be nonempty strictly ascending")
+            ints = all(isinstance(c, int) for c in ls)
+            if not ls or not ints or any(a >= b for a, b in zip(ls, ls[1:])):
+                raise ValueError(f"levels {ls} must be nonempty strictly ascending ints")
         self.m = len(self.levels)
         self.max_idx = tuple(len(ls) - 1 for ls in self.levels)
         self._index_of = [{c: i for i, c in enumerate(ls)} for ls in self.levels]
@@ -183,18 +186,17 @@ def _untouched_entries(
 def _branch_and_bound(
     p: HittingProblem,
     bound: float,
-    stop_at: float,
     should_stop: Callable[[], bool] | None,
     prefix: Sequence[int] = (),
-) -> tuple[tuple[int, tuple[int, ...]] | None, float]:
-    """Branch and bound for a hitting vector with cost strictly below `bound`.
+) -> tuple[tuple[int, ...] | None, float]:
+    """The first hitter the search reaches that costs strictly below `bound`.
 
-    Returns (found, least): found is (cost, level-index tuple) or None.
-    The search stops early at the first hitter costing at most `stop_at`:
-    with stop_at = inf that is the first hitter found; with stop_at a lower
-    bound on the optimum (the problem's floor) it is an optimal one.
-    Branches on an unhit core with the fewest raise options (the first
-    such core in kept order), cheapest increment first.
+    Returns (found, least): found is that hitter as a level-index tuple,
+    or None when no hitter costs less than `bound`. With a budget one
+    above a lower bound on the optimum, the first hitter is an optimal
+    one, since costs are integers. Branches on an unhit core with the
+    fewest raise options (the first such core in kept order), cheapest
+    increment first.
 
     Nodes carry a packing bound: cores whose raise options are pairwise
     disjoint cannot share a raise, so their cheapest raises are owed
@@ -204,8 +206,8 @@ def _branch_and_bound(
     on the larger of the two sums. The second packing starts with the
     dearest single core, so it also owes what that core alone owes. Any
     packing is a valid bound, so a pruned subtree holds no hitter cheaper
-    than `bound` or the incumbent: the bound changes which nodes are
-    visited, never the order of the visited ones or the hitter returned.
+    than `bound`: the bound changes which nodes are visited, never the
+    order of the visited ones or the hitter returned.
 
     When found is None, `least` is the least cost plus bound over the
     nodes pruned for cost (inf if none was): every hitter lies under some
@@ -233,14 +235,15 @@ def _branch_and_bound(
     cleared from the root's mask. The returned tuple is a whole vector
     either way.
 
-    Nodes are generators driven from an explicit stack: a node yields the
-    arguments of each child it wants searched (its cost, the node's
-    entries, the sibling caps, the cores the raise hits and the raised
-    component) and, when resumed, reads the child's result from
-    `returned`, so the depth of the tree (one level per raise) is not
-    limited by the interpreter's recursion limit. Nodes return None, so
-    next() ends each with its default instead of a StopIteration that the
-    stack loop would have to catch.
+    Nodes are generators driven from an explicit stack, so the depth of
+    the tree (one level per raise) is not limited by the interpreter's
+    recursion limit. A node yields the arguments of each child it wants
+    searched (its cost, the node's entries, the sibling caps, the cores
+    the raise hits and the raised component). A leaf that hits sets
+    `found` and the stack loop ends there, so a node is resumed only after
+    a child's subtree held no hitter and no result is passed back up.
+    Nodes return None, so next() ends each with its default instead of a
+    StopIteration that the stack loop would have to catch.
     """
     levels, steps, below, cores = p.levels, p.core_steps, p.below, p.cores
     v = [*prefix, *[0] * (p.m - len(prefix))]
@@ -249,11 +252,9 @@ def _branch_and_bound(
     unhit = (1 << len(p.cores)) - 1
     for i, t in enumerate(prefix):
         unhit &= ~below[i][t]
-    best = bound
-    best_vec: tuple[int, ...] | None = None
+    found: tuple[int, ...] | None = None
     least = math.inf
     poll = _make_stop_poll(should_stop)
-    returned = False  # the result of the node that returned last
     most = p.m + 1  # more options than any core has
 
     def node(
@@ -263,12 +264,11 @@ def _branch_and_bound(
         # the untouched ones; capped: the components capped since they were
         # counted; hit: the cores among them that the raise of component r
         # hits (the root raised nothing: r = -1, hit = 0)
-        nonlocal best, best_vec, returned, unhit, least
+        nonlocal found, unhit, least
         poll()
-        if cost >= best:
+        if cost >= bound:
             if cost < least:
                 least = cost
-            returned = False
             return
         pick = -1
         pick_n = most
@@ -299,8 +299,7 @@ def _branch_and_bound(
                         if cheapest < 0 or d < cheapest:
                             cheapest = d
                 if not n:
-                    returned = False  # nothing can hit this core under the caps
-                    return
+                    return  # nothing can hit this core under the caps
                 neg = -cheapest
                 e = (neg, n, ci, mask)
             elif mask & raised:
@@ -315,11 +314,9 @@ def _branch_and_bound(
             if n < pick_n:
                 pick, pick_n = ci, n
         if pick < 0:
-            best = cost
-            best_vec = tuple(v)
-            returned = True
+            found = tuple(v)
             return
-        if cost + owed < best:
+        if cost + owed < bound:
             dearest = 0  # additive packing bound, dearest core first
             packed = 0
             for neg, _, _, mask in sorted(entries):
@@ -328,17 +325,15 @@ def _branch_and_bound(
                     packed |= mask
             if dearest > owed:
                 owed = dearest
-        if cost + owed >= best:
+        if cost + owed >= bound:
             if cost + owed < least:
                 least = cost + owed
-            returned = False
             return
         opts = [(lv - val[i], i, t, lv) for i, t, lv, _ in steps[pick] if t <= caps[i]]
         opts.sort()
         saved = unhit
         saved_caps = []
         capped = 0  # components capped by earlier siblings
-        done = False
         for d, i, t, lv in opts:
             old = v[i]
             v[i], val[i] = t, lv
@@ -347,27 +342,21 @@ def _branch_and_bound(
             yield cost + d, entries, capped, hit, i
             v[i], val[i] = old, lv - d
             unhit = saved
-            if returned and best <= stop_at:
-                done = True
-                break
             saved_caps.append((i, caps[i]))
             caps[i] = t - 1  # later siblings keep i at or below the core
             capped |= 1 << i
         for i, c in reversed(saved_caps):
             caps[i] = c
-        returned = done
 
     # the root reads its entries lazily, so a dead core ends it early
     stack = [node(sum(val), _untouched_entries(p, unhit), (1 << len(prefix)) - 1)]
-    while stack:
+    while stack and found is None:
         child = next(stack[-1], None)
         if child is None:
             stack.pop()
         else:
             stack.append(node(*child))
-    if best_vec is None:
-        return None, least
-    return (int(best), best_vec), least
+    return found, least
 
 
 def _lex_min_at_cost(
@@ -393,11 +382,10 @@ def _lex_min_at_cost(
     unhit = (1 << len(p.cores)) - 1
     for pos in range(p.m):
         for t in range(witness[pos]):
-            found = _branch_and_bound(
-                p, target + 1, math.inf, should_stop, (*witness[:pos], t)
-            )[0]
+            prefix = (*witness[:pos], t)
+            found = _branch_and_bound(p, target + 1, should_stop, prefix)[0]
             if found is not None:
-                witness = found[1]
+                witness = found
                 break
         unhit &= ~p.below[pos][witness[pos]]
     if unhit or sum(ls[t] for ls, t in zip(p.levels, witness)) != target:
@@ -431,11 +419,9 @@ def min_cost_hitting_vector(
     if p.saturated:
         return None
     while p.floor < prune_at:
-        found, least = _branch_and_bound(
-            p, min(p.floor + 1, prune_at), p.floor, should_stop
-        )
+        found, least = _branch_and_bound(p, p.floor + 1, should_stop)
         if found is not None:
-            return p.vector_at(_lex_min_at_cost(p, p.floor, should_stop, found[1]))
+            return p.vector_at(_lex_min_at_cost(p, p.floor, should_stop, found))
         p.floor = least
     return None
 
@@ -453,7 +439,5 @@ def cost_bounded_hitting_vector(
     """
     if p.saturated:
         return None
-    found = _branch_and_bound(p, ub, math.inf, should_stop)[0]
-    if found is None:
-        return None
-    return p.vector_at(found[1])
+    found = _branch_and_bound(p, ub, should_stop)[0]
+    return None if found is None else p.vector_at(found)

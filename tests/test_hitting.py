@@ -56,6 +56,10 @@ def test_problem_saturation_flag():
         ([(5, 0)], [], "strictly ascending"),
         (FIG1_LEVELS, [(0, 5, 20)], "length"),
         (FIG1_LEVELS, [(0, 7)], "not a level"),
+        # the floor counts on integer costs: with a fractional level,
+        # min_cost_hitting_vector raised RuntimeError from the lex-min pass
+        ([(0, 0.5)], [(0,)], "ints"),
+        ([(0, 1.5), (0, 2)], [(0, 0)], "ints"),
     ],
 )
 def test_problem_validation(levels, pool, msg):
@@ -288,9 +292,9 @@ def test_floor_never_changes_an_answer():
             expected = exhaustive_mhv(levels, pool[:n])
             best = sum(expected)
             assert p.floor <= best
-            first = _branch_and_bound(p, math.inf, p.floor, None)[0]
-            assert first is not None and first[0] == best
-            if p.vector_at(first[1]) != expected:
+            first = _branch_and_bound(p, best + 1, None)[0]
+            assert first is not None and sum(p.vector_at(first)) == best
+            if p.vector_at(first) != expected:
                 witness_replaced += 1
             assert min_cost_hitting_vector(p) == expected
             assert p.floor == best
@@ -376,19 +380,21 @@ def test_refuted_search_proves_a_bound_above_its_budget():
         p = HittingProblem(levels, pool)
         best = sum(exhaustive_mhv(levels, pool))
         for c in range(p.min_cost(), best):
-            found, t = _branch_and_bound(p, c + 1, c, None)
+            found, t = _branch_and_bound(p, c + 1, None)
             assert found is None
             assert c < t <= best
             refuted += 1
-        found, _ = _branch_and_bound(p, best + 1, best, None)
-        assert found is not None and found[0] == best
+        found, _ = _branch_and_bound(p, best + 1, None)
+        assert found is not None and sum(p.vector_at(found)) == best
     assert refuted > 500
 
 
 def test_prefix_search_finds_the_cheapest_extension():
-    """Under a prefix and with no early stop, the search returns the
-    cheapest hitter that starts with the prefix, checked by enumeration,
-    or None when no hitter does."""
+    """Under a prefix, a budget equal to the cost of the cheapest hitter
+    that starts with the prefix finds nothing, and one more finds a hitter
+    of exactly that cost which starts with the prefix: the check that the
+    lex-min pass makes at each level. With no such hitter, even an
+    unbounded budget finds nothing. Checked by enumeration."""
     rng = random.Random(5150)
     found = missing = 0
     for _ in range(300):
@@ -400,27 +406,29 @@ def test_prefix_search_finds_the_cheapest_extension():
             for idx in itertools.product(*(range(len(ls)) for ls in levels))
             if idx[: len(prefix)] == prefix and hits(p.vector_at(idx), pool)
         ]
-        got = _branch_and_bound(p, math.inf, -math.inf, None, prefix)[0]
         if not extensions:
-            assert got is None
+            assert _branch_and_bound(p, math.inf, None, prefix)[0] is None
             missing += 1
             continue
-        cost, idx = got
-        assert idx[: len(prefix)] == prefix and len(idx) == p.m
+        cheapest = min(extensions)
+        assert _branch_and_bound(p, cheapest, None, prefix)[0] is None
+        idx = _branch_and_bound(p, cheapest + 1, None, prefix)[0]
+        assert idx is not None and idx[: len(prefix)] == prefix and len(idx) == p.m
         assert hits(p.vector_at(idx), pool)
-        assert cost == sum(p.vector_at(idx)) == min(extensions)
+        assert sum(p.vector_at(idx)) == cheapest
         found += 1
     assert found > 100 and missing > 30
 
 
-def _reference_branch_and_bound(levels, cores, bound, stop_at, prefix=()):
+def _reference_branch_and_bound(levels, cores, bound, prefix=()):
     """The search of _branch_and_bound written plainly: every node
     recomputes each unhit core's raise options, its cheapest raise and
-    both packings from scratch. Returns (found, least, nodes entered)."""
+    both packings from scratch, and the search stops at its first hitter.
+    Returns (found, least, nodes entered)."""
     m = len(levels)
     v = [*prefix, *[0] * (m - len(prefix))]
     caps = [*prefix, *(len(ls) - 1 for ls in levels[len(prefix):])]
-    best, best_vec, least, nodes = bound, None, math.inf, 0
+    found, least, nodes = None, math.inf, 0
 
     def packing(entries) -> int:
         owed = packed = 0
@@ -431,9 +439,9 @@ def _reference_branch_and_bound(levels, cores, bound, stop_at, prefix=()):
         return owed
 
     def search(cost: int) -> bool:
-        nonlocal best, best_vec, least, nodes
+        nonlocal found, least, nodes
         nodes += 1
-        if cost >= best:
+        if cost >= bound:
             least = min(least, cost)
             return False
         entries = []
@@ -446,12 +454,12 @@ def _reference_branch_and_bound(levels, cores, bound, stop_at, prefix=()):
             cheapest = min(levels[i][k[i] + 1] - levels[i][v[i]] for i in options)
             entries.append((-cheapest, len(options), ci, sum(1 << i for i in options)))
         if not entries:
-            best, best_vec = cost, tuple(v)
+            found = tuple(v)
             return True
         owed = packing(entries)
-        if cost + owed < best:
+        if cost + owed < bound:
             owed = max(owed, packing(sorted(entries)))
-        if cost + owed >= best:
+        if cost + owed >= bound:
             least = min(least, cost + owed)
             return False
         k = cores[min(entries, key=lambda e: e[1])[2]]
@@ -461,17 +469,14 @@ def _reference_branch_and_bound(levels, cores, bound, stop_at, prefix=()):
         )
         for d, i in raises:
             old, v[i] = v[i], k[i] + 1
-            found = search(cost + d)
-            v[i] = old
-            if found and best <= stop_at:
-                caps[:] = saved
+            if search(cost + d):
                 return True
+            v[i] = old
             caps[i] = k[i]
         caps[:] = saved
         return False
 
     search(sum(ls[t] for ls, t in zip(levels, v)))
-    found = None if best_vec is None else (best, best_vec)
     return found, least, nodes
 
 
@@ -480,9 +485,10 @@ def test_search_matches_a_from_scratch_reference(monkeypatch):
     parent's returns what the from-scratch reference returns and enters as
     many nodes: pools grown core by core, with 3 to 5 levels per function
     so that sibling caps leave some options, searched with no prefix and
-    with random prefixes, at stop_at inf, the floor and -inf, and refuted
-    at budgets up to the optimum. A stale mask or cheapest raise after a
-    recount, a missed dead core or a missed cheaper raise each fail it."""
+    with random prefixes, at budgets from the previous optimum + 1 up to
+    unbounded, and refuted at budgets up to the optimum. A stale mask or
+    cheapest raise after a recount, a missed dead core or a missed cheaper
+    raise each fail it."""
     entered = 0
 
     def counting(should_stop):
@@ -512,17 +518,12 @@ def test_search_matches_a_from_scratch_reference(monkeypatch):
             best = sum(min_cost_hitting_vector(p))
             some = tuple(rng.randrange(len(ls)) for ls in levels[: rng.randint(1, m)])
             for prefix in ((), some):
-                for bound, stop_at in (
-                    (math.inf, math.inf),
-                    (floor + 1, floor),
-                    (best + 1, best),
-                    (best, best - 1),
-                    (best + rng.randint(1, 6), -math.inf),
-                    (math.inf, -math.inf),
+                for bound in (
+                    math.inf, floor + 1, best + 1, best, best + rng.randint(1, 6)
                 ):
                     entered = 0
-                    got = _branch_and_bound(p, bound, stop_at, None, prefix)
-                    args = levels, p.cores, bound, stop_at, prefix
+                    got = _branch_and_bound(p, bound, None, prefix)
+                    args = levels, p.cores, bound, prefix
                     assert (*got, entered) == _reference_branch_and_bound(*args), args
                     searches += 1
                     found += got[0] is not None
