@@ -17,7 +17,6 @@ from .engine import (
     TIMEOUT,
     CorePool,
     SolveResult,
-    TraceRecorder,
     hs_lb,
     hs_lub,
     hs_ub,
@@ -65,7 +64,6 @@ __all__ = [
     "SolveResult",
     "SplitMix64",
     "TraceEvent",
-    "TraceRecorder",
     "TraceWriter",
     "Wcsp",
     "classify_all_vectors",

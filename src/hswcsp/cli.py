@@ -96,6 +96,8 @@ def _load(path: str) -> Wcsp:
         return parse_wcsp_file(path)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"cannot read {path}: not UTF-8 text ({exc.reason})")
     except ParseError as exc:
         raise _InputError(f"{path}: {exc}")
 
@@ -104,47 +106,46 @@ def _format_ub(ub: int | float) -> str:
     return "inf" if ub == INF else str(int(ub))
 
 
+def _run_solver(args: argparse.Namespace, w: Wcsp, sink: Callable | None) -> SolveResult:
+    solver = {"lb": hs_lb, "ub": hs_ub, "lub": hs_lub}[args.alg]
+    pool = CorePool()
+    t0 = time.monotonic()
+    try:
+        return solver(
+            w, pool=pool, time_limit=args.time_limit,
+            seed_disjoint=args.seed_disjoint, trace=sink,
+        )
+    except KeyboardInterrupt:
+        # Ctrl-C: the pool still holds certified bounds, so report them
+        lb, ub = pool.bounds()
+        return SolveResult(
+            status=TIMEOUT,
+            optimum=None,
+            lb=lb,
+            ub=ub,
+            witness=pool.best_witness,
+            cores_used=len(pool.cores),
+            iterations={},
+            wall_ms=(time.monotonic() - t0) * 1000,
+            trace=(),
+        )
+
+
 def cmd_solve(args: argparse.Namespace, invocation: str) -> int:
     w = _load(args.instance)
-
-    trace_file = None
-    sink: Callable | None = None
-    pool = CorePool()
-    try:
-        if args.trace is not None:
-            try:
-                trace_file = open(args.trace, "w")
-            except OSError as exc:
-                raise _InputError(f"cannot write {args.trace}: {exc.strerror or exc}")
-            writer = TraceWriter(
-                trace_file,
-                comments=[f"invocation: {invocation}", f"instance: {w.name}"],
-            )
-            sink = writer.write
-        solver = {"lb": hs_lb, "ub": hs_ub, "lub": hs_lub}[args.alg]
-        t0 = time.monotonic()
+    if args.trace is None:
+        result = _run_solver(args, w, None)
+    else:
+        # opening, writing, flushing or closing the trace may fail
         try:
-            result = solver(
-                w, pool=pool, time_limit=args.time_limit,
-                seed_disjoint=args.seed_disjoint, trace=sink,
-            )
-        except KeyboardInterrupt:
-            # Ctrl-C: the pool still holds certified bounds, so report them
-            lb, ub = pool.bounds()
-            result = SolveResult(
-                status=TIMEOUT,
-                optimum=None,
-                lb=lb,
-                ub=ub,
-                witness=pool.best_witness,
-                cores_used=len(pool.cores),
-                iterations={},
-                wall_ms=(time.monotonic() - t0) * 1000,
-                trace=(),
-            )
-    finally:
-        if trace_file is not None:
-            trace_file.close()
+            with open(args.trace, "w") as trace_file:
+                writer = TraceWriter(
+                    trace_file,
+                    comments=[f"invocation: {invocation}", f"instance: {w.name}"],
+                )
+                result = _run_solver(args, w, writer.write)
+        except OSError as exc:
+            raise _InputError(f"cannot write {args.trace}: {exc.strerror or exc}")
 
     if result.status == OPTIMAL:
         print(f"OPTIMAL {result.optimum}")

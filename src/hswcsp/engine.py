@@ -9,8 +9,9 @@ single-thread round-robin, so each feeds on the other's cores and bounds.
 Every solve runs in one thread with one SAT oracle and one HittingProblem,
 both shared by its loops, so its trace is deterministic up to timestamps.
 
-Bounds and cores live in a CorePool guarded by one lock; every bound
-change is stamped into a trace. Long searches poll a halt predicate at
+Bounds and cores live in a CorePool guarded by one lock. The pool is the
+one record of a solve: it drops duplicate cores and stamps every core and
+bound change into its trace. Long searches poll a halt predicate at
 node/conflict granularity, so a time limit, or bounds that meet during
 core growth, take effect mid-search. The hitting searches take it on
 every call; the SAT side takes it once, when the solve builds its
@@ -37,7 +38,6 @@ __all__ = [
     "TIMEOUT",
     "INFEASIBLE",
     "CorePool",
-    "TraceRecorder",
     "SolveResult",
     "seed_disjoint_cores",
     "hs_lb",
@@ -53,43 +53,27 @@ INFEASIBLE = "INFEASIBLE"
 _SOURCE = {"lb": "LB_WORKER", "ub": "UB_WORKER"}
 
 
-class TraceRecorder:
-    """Collects timestamped trace events, optionally forwarding each one.
-
-    Timestamps use a monotonic clock anchored at construction. Thread-safe;
-    the sink is called under the recorder's lock, so it sees events in
-    recorded order.
-    """
-
-    def __init__(self, sink: Callable[[TraceEvent], None] | None = None):
-        self._t0 = time.monotonic()
-        self._lock = threading.Lock()
-        self._sink = sink
-        self.events: list[TraceEvent] = []
-
-    def record(self, kind: str, value: int, source: str) -> None:
-        ms = int((time.monotonic() - self._t0) * 1000)
-        event = TraceEvent(ms, kind, value, source)
-        with self._lock:
-            self.events.append(event)
-            if self._sink is not None:
-                self._sink(event)
-
-
 class CorePool:
     """Shared pool of cores plus the current bounds.
 
     cores only grow, lb only rises, ub only falls; the loops read the cores
     appended since their last look with cores_since. best_witness is the
     assignment behind the last accepted ub (its evaluated total is <= ub,
-    since bound updates may carry vector costs). All mutation happens
-    under one lock and is stamped into the recorder, so a trace is a
-    faithful serialization of bound history.
+    since bound updates may carry vector costs). add_core drops a core
+    identical to a pooled one, so cores holds no duplicates.
+
+    The pool is the record of a solve: every change happens under one lock
+    and appends a TraceEvent to events, stamped in ms on a monotonic clock
+    anchored when the pool was built (a solve re-anchors it at its start),
+    so events is a faithful serialization of bound history. A solve also
+    hands each event to its trace sink, under the lock and in order.
     """
 
-    def __init__(self, recorder: TraceRecorder | None = None):
+    def __init__(self):
         self._lock = threading.Lock()
-        self.recorder = recorder
+        self._t0 = time.monotonic()
+        self._sink: Callable[[TraceEvent], None] | None = None
+        self.events: list[TraceEvent] = []
         self.cores: list[tuple[int, ...]] = []
         self._seen: set[tuple[int, ...]] = set()
         self.lb: int = 0
@@ -97,8 +81,12 @@ class CorePool:
         self.best_witness: tuple[int, ...] | None = None
 
     def _record(self, kind: str, value: int, source: str) -> None:
-        if self.recorder is not None:
-            self.recorder.record(kind, value, source)
+        # callers hold the lock
+        ms = int((time.monotonic() - self._t0) * 1000)
+        event = TraceEvent(ms, kind, value, source)
+        self.events.append(event)
+        if self._sink is not None:
+            self._sink(event)
 
     def cores_since(self, start: int) -> list[tuple[int, ...]]:
         """Cores appended after the first `start` ones, in append order."""
@@ -237,7 +225,6 @@ def _run_loops(
                 return False
             source = _SOURCE[name]
             ub = pool.bounds()[1]
-            # the pool has no duplicates, so the problem keeps every core
             for core in pool.cores_since(len(problem.cores)):
                 if halt():
                     return False
@@ -274,11 +261,10 @@ def _solve(
         raise ValueError("time_limit must be a number of seconds, got nan")
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
-    recorder = TraceRecorder(trace)
     if pool is None:
-        pool = CorePool(recorder)
-    else:
-        pool.recorder = recorder
+        pool = CorePool()
+    with pool._lock:
+        pool._t0, pool._sink, pool.events = t0, trace, []
 
     def halt() -> bool:
         return (
@@ -308,7 +294,8 @@ def _solve(
         status, optimum = INFEASIBLE, None
     elif lb == ub and ub < INF:
         status, optimum = OPTIMAL, int(ub)
-        recorder.record("DONE", optimum, "MAIN")
+        with pool._lock:
+            pool._record("DONE", optimum, "MAIN")
     else:
         status, optimum = TIMEOUT, None
     return SolveResult(
@@ -320,7 +307,7 @@ def _solve(
         cores_used=len(pool.cores),
         iterations=iterations,
         wall_ms=(time.monotonic() - t0) * 1000,
-        trace=tuple(recorder.events),
+        trace=tuple(pool.events),
     )
 
 

@@ -17,17 +17,18 @@ A HittingProblem is meant to persist across the steps of a solve: the
 caller appends each newly pooled core with add_cores, at O(m * levels)
 per core, instead of rebuilding the problem. The problem is append-only:
 a core keeps its index for good, so the per-component masks of the cores
-each raise hits only ever gain bits. Nothing is filtered but duplicates.
-A dominated core (componentwise <= another) would be redundant, not
-wrong: every vector that hits the dominating core hits it too, so it
-changes no hitting cost; and the engine never pools one, because grown
-cores are maximal. Because cores are only ever added, the minimum
-hitting cost only rises, so the problem keeps a floor, a lower bound on
-it. The cost search deepens from the floor (IDA*, Korf 1985): each try
-searches at the budget floor + 1, so, costs being integers, the first
-hitter it finds costs the floor and is optimal. A refuted try proves a
-higher floor, the least cost plus packing bound among the nodes it
-pruned, and the next try starts from there.
+each raise hits only ever gain bits. Nothing is filtered. A duplicate or
+a dominated core (componentwise <= another) would be redundant, not
+wrong: every vector that hits the other core hits it too, so it changes
+no hitting cost; and the engine pools neither, since its pool drops
+duplicates and grown cores are maximal. Because cores are only ever
+added, the minimum hitting cost only rises, so the problem keeps a
+floor, a lower bound on it. The cost search deepens from the floor
+(IDA*, Korf 1985): each try searches at the budget floor + 1, so, costs
+being integers, the first hitter it finds costs the floor and is
+optimal. A refuted try proves a higher floor, the least cost plus
+packing bound among the nodes it pruned, and the next try starts from
+there.
 
 The tie-break among optimal hitters (lexicographically least level-index
 tuple) is a separate pass. It fixes components left to right at the lowest
@@ -63,12 +64,11 @@ from .model import SearchAborted
 class HittingProblem:
     """Per-function integer level sets plus an append-only pool of cores, index-encoded.
 
-    Built empty and grown with add_cores. Cores keep their first-appearance
-    order and their index for the life of the problem; a duplicate of a
-    pooled core is dropped. A dominated core (componentwise <= another) is
-    kept: it is redundant, not wrong, since every vector that hits the
-    dominating core hits it too, so it changes no hitting cost. Engine
-    pools hold none anyway, because grown cores are maximal.
+    Built empty and grown with add_cores. Every core given is kept, in
+    order, with its index for the life of the problem. A duplicate or
+    dominated core (componentwise <= another) is redundant, not wrong,
+    since every vector that hits the other core hits it too, so it changes
+    no hitting cost. Engine pools hold neither anyway.
 
     Alongside each core the problem keeps what the search reads:
     `core_steps`, one (i, t, level value, 1 << i) per component i that can
@@ -106,7 +106,6 @@ class HittingProblem:
         self.core_steps: list[tuple[tuple[int, int, int, int], ...]] = []
         self.core_untouched: list[tuple[int, int, int, int]] = []
         self.below = [[0] * len(ls) for ls in self.levels]
-        self._seen: set[tuple[int, ...]] = set()
         self.saturated = False
         self.floor = self.min_cost()
         self.add_cores(pool)
@@ -114,16 +113,12 @@ class HittingProblem:
     def add_cores(self, pool: Iterable[Sequence[int]]) -> None:
         """Append cores (as cost vectors) in order, O(m * levels) each.
 
-        A duplicate of a pooled core is dropped. Every core is validated
-        before any is appended.
+        Every core is validated before any is appended.
         """
         new = [self._encode(k) for k in pool]
         cores = self.cores
         levels = self.levels
         for k in new:
-            if k in self._seen:
-                continue
-            self._seen.add(k)
             ci = len(cores)
             bit = 1 << ci
             up = tuple(i for i in range(self.m) if k[i] < self.max_idx[i])

@@ -199,13 +199,14 @@ class TraceEvent:
 
 class TraceWriter:
     """Streams trace events as CSV, flushing after every row so an
-    interrupted run still leaves a readable prefix. Comment lines (leading
-    `#`) may be emitted before the header."""
+    interrupted run still leaves a readable prefix. Comments are written
+    before the header, each of their lines as its own `#` line."""
 
     def __init__(self, sink: IO[str], comments: Sequence[str] = ()):
         self._sink = sink
         for c in comments:
-            sink.write(f"# {c}\n")
+            for line in c.splitlines() or [""]:
+                sink.write(f"# {line}\n")
         sink.write(TRACE_HEADER + "\n")
         sink.flush()
 

@@ -11,11 +11,30 @@ A SAT answer resets the whole trail at once. After it the solver must be
 back at level 0 with only its level-0 literals assigned, and every other
 variable must have saved its model value as its phase, as a backtrack one
 variable at a time would have left it.
+
+Clause-database reduction deletes the less active half of the learned
+clauses, but never a binary one or one that is the reason of a current
+assignment (locked). A solver whose learned-clause limit starts at 1
+reduces at nearly every decision once it has learned a few clauses, and
+its answers must still match a fresh solver's.
 """
 
 import random
 
 from hswcsp.cdcl import CdclSolver
+
+
+def _solver(nvars, clauses):
+    solver = CdclSolver()
+    for _ in range(nvars):
+        solver.new_var()
+    for c in clauses:
+        solver.add_clause(c)
+    return solver
+
+
+def _satisfies(model, clauses):
+    return all(any(model[abs(lit)] == (1 if lit > 0 else -1) for lit in c) for c in clauses)
 
 
 def test_models_are_total_and_satisfying_under_frequent_restarts():
@@ -27,12 +46,8 @@ def test_models_are_total_and_satisfying_under_frequent_restarts():
             [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
             for _ in range(nclauses)
         ]
-        solver = CdclSolver()
+        solver = _solver(nvars, clauses)
         solver.RESTART_BASE = 2
-        for _ in range(nvars):
-            solver.new_var()
-        for c in clauses:
-            solver.add_clause(c)
         for _ in range(5):
             assumptions = [
                 v if rng.random() < 0.5 else -v
@@ -50,6 +65,57 @@ def test_models_are_total_and_satisfying_under_frequent_restarts():
             free = [v for v in range(1, nvars + 1) if v not in fixed]
             assert all(solver.polarity[v] == model[v] for v in free)
             assert all(model[v] != 0 for v in range(1, nvars + 1))
-            assert all(any(model[abs(lit)] == (1 if lit > 0 else -1) for lit in c) for c in clauses)
+            assert _satisfies(model, clauses)
             assert all(model[abs(lit)] == (1 if lit > 0 else -1) for lit in assumptions)
     assert sat > 300
+
+
+def test_answers_hold_under_frequent_clause_database_reduction(monkeypatch):
+    counts = {"reduce": 0, "locked": 0}
+    reduce_db, locked = CdclSolver._reduce_db, CdclSolver._locked
+
+    def counting_reduce(self):
+        counts["reduce"] += 1
+        reduce_db(self)
+
+    def counting_locked(self, c):
+        answer = locked(self, c)
+        counts["locked"] += answer
+        return answer
+
+    monkeypatch.setattr(CdclSolver, "_reduce_db", counting_reduce)
+    monkeypatch.setattr(CdclSolver, "_locked", counting_locked)
+    rng = random.Random(7301)
+    nvars, nclauses = 50, 213
+    answers = set()
+    for _ in range(60):
+        clauses = [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
+            for _ in range(nclauses)
+        ]
+        solver = _solver(nvars, clauses)
+        solver.max_learnts = 1.0
+        for _ in range(5):
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, nvars + 1), rng.randint(0, 6))
+            ]
+            answer = solver.solve(assumptions)
+            answers.add(answer)
+            assert answer == _solver(nvars, clauses).solve(assumptions)
+            if answer:
+                assert _satisfies(solver.model, clauses)
+                assert all(solver.model[abs(lit)] == (1 if lit > 0 else -1) for lit in assumptions)
+            else:
+                assert set(solver.conflict) <= set(assumptions)
+                assert not _solver(nvars, clauses).solve(solver.conflict)
+            # every stored clause is watched by its first two literals, once
+            stored = solver.clauses + solver.learned
+            assert sum(map(len, solver.watches)) == 2 * len(stored)
+            assert all(
+                c in solver.watches[c.lits[0]] and c in solver.watches[c.lits[1]]
+                for c in stored
+            )
+    assert answers == {True, False}
+    assert counts["reduce"] >= 300
+    assert counts["locked"] >= 100

@@ -1,3 +1,5 @@
+import errno
+import io
 import os
 import re
 import subprocess
@@ -5,7 +7,8 @@ import sys
 
 import pytest
 
-from hswcsp import SolveResult, maximal_core, wcsp_to_text
+from hswcsp import SolveResult, maximal_core, read_trace, wcsp_to_text
+from hswcsp import cli
 from hswcsp.cli import main
 
 
@@ -75,6 +78,67 @@ def test_parse_error_names_the_file(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(bad))
     assert code == 1
     assert str(bad) in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_non_utf8_instance_is_an_input_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.wcsp"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command, str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"hswcsp: error: cannot read {bad}: ")
+
+
+class _FullDisk(io.StringIO):
+    """A trace file whose `failing` method raises ENOSPC after `ok` calls."""
+
+    def __init__(self, failing, ok):
+        super().__init__()
+        self.failing, self.ok = failing, ok
+
+    def _call(self, method):
+        if method == self.failing:
+            if self.ok == 0:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.ok -= 1
+
+    def write(self, text):
+        self._call("write")
+        return super().write(text)
+
+    def flush(self):
+        self._call("flush")
+        super().flush()
+
+    def close(self):
+        self._call("close")
+        super().close()
+
+
+@pytest.mark.parametrize(
+    "failing, ok",
+    [("write", 0), ("write", 3), ("flush", 0), ("flush", 1), ("close", 0)],
+    ids=["header-write", "event-write", "header-flush", "event-flush", "close"],
+)
+def test_trace_write_errors_are_input_errors(
+    fig1_path, capsys, monkeypatch, failing, ok
+):
+    trace = _FullDisk(failing, ok)
+    monkeypatch.setattr(cli, "open", lambda *args: trace, raising=False)
+    code, out, err = run(capsys, "solve", fig1_path, "--trace", "t.csv")
+    trace.failing = None  # let garbage collection close it quietly
+    assert (code, out) == (1, "")
+    assert err == "hswcsp: error: cannot write t.csv: No space left on device\n"
+
+
+def test_trace_of_a_path_with_a_newline_reads_back(fig1, tmp_path, capsys):
+    path = tmp_path / "fig\n1.wcsp"
+    path.write_text(wcsp_to_text(fig1))
+    trace = tmp_path / "t.csv"
+    code, _, _ = run(capsys, "solve", str(path), "--alg", "lb", "--trace", str(trace))
+    assert code == 0
+    events = read_trace(trace.read_text())
+    assert [e.kind for e in events] == ["UB", "CORE", "LB", "UB", "DONE"]
 
 
 def test_unwritable_trace_is_an_input_error(fig1_path, tmp_path, capsys):

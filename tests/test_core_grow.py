@@ -7,7 +7,6 @@ from hswcsp import (
     CorePool,
     SatOracle,
     SearchAborted,
-    TraceRecorder,
     generate,
     leq,
     maximal_core,
@@ -47,12 +46,11 @@ def test_growth_offers_probe_vector_costs(fig1):
     Both probes are SAT at vector cost 25, but only the first one beats
     the pool's bound, so exactly one offer lands.
     """
-    recorder = TraceRecorder()
-    pool = CorePool(recorder)
+    pool = CorePool()
     grown = maximal_core(SatOracle(fig1), (0, 0), _pool_offer(pool))
     assert grown == (5, 5)
     assert pool.ub == 25
-    assert [(e.kind, e.value) for e in recorder.events] == [("UB", 25)]
+    assert [(e.kind, e.value) for e in pool.events] == [("UB", 25)]
     ev = fig1.evaluate(pool.best_witness)
     assert ev.feasible
     # the witness satisfies the SAT probe (20, 5), componentwise
@@ -62,11 +60,10 @@ def test_growth_offers_probe_vector_costs(fig1):
 
 def test_growth_respects_preexisting_bound(fig1):
     # with ub already at 20, the cost-25 probes do not land
-    recorder = TraceRecorder()
-    pool = CorePool(recorder)
+    pool = CorePool()
     pool.offer_ub(20, (0, 1, 1), "MAIN")
     assert maximal_core(SatOracle(fig1), (0, 0), _pool_offer(pool)) == (5, 5)
-    assert [(e.kind, e.value) for e in recorder.events] == [("UB", 20)]
+    assert [(e.kind, e.value) for e in pool.events] == [("UB", 20)]
     assert pool.ub == 20 and pool.best_witness == (0, 1, 1)
 
 

@@ -14,7 +14,6 @@ from hswcsp import (
     Encoding,
     SatOracle,
     SolveResult,
-    TraceRecorder,
     Wcsp,
     generate,
     hs_lb,
@@ -491,28 +490,29 @@ def test_core_pool_bookkeeping():
 
 
 def test_pool_records_only_accepted_changes():
-    recorder = TraceRecorder()
-    pool = CorePool(recorder)
+    pool = CorePool()
     pool.raise_lb(2, "MAIN")
     pool.raise_lb(2, "MAIN")
     pool.offer_ub(9, (0,), "MAIN")
     pool.offer_ub(9, (0,), "MAIN")
     pool.add_core((1, 1), "MAIN")
     pool.add_core((1, 1), "MAIN")
-    assert [(e.kind, e.value) for e in recorder.events] == [
+    assert [(e.kind, e.value) for e in pool.events] == [
         ("LB", 2),
         ("UB", 9),
         ("CORE", 1),
     ]
 
 
-def test_trace_recorder_forwards_in_order():
+def test_solve_trace_is_the_pool_record(fig1):
+    pool = CorePool()
+    r = hs_lb(fig1, pool=pool)
+    assert r.trace == tuple(pool.events) and r.trace[-1].kind == "DONE"
+    # a warm restart on the solved pool starts a new record: only DONE
     seen = []
-    recorder = TraceRecorder(sink=seen.append)
-    recorder.record("LB", 1, "MAIN")
-    recorder.record("UB", 9, "MAIN")
-    assert seen == recorder.events
-    assert recorder.events[0].elapsed_ms <= recorder.events[1].elapsed_ms
+    again = hs_lb(fig1, pool=pool, trace=seen.append)
+    assert [(e.kind, e.value) for e in again.trace] == [("DONE", 20)]
+    assert seen == pool.events == list(again.trace)
 
 
 def test_solve_result_consistency_is_enforced():

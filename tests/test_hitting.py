@@ -22,13 +22,15 @@ from hswcsp.hitting import _branch_and_bound, _lex_min_at_cost
 FIG1_LEVELS = [(0, 5, 20), (0, 5, 20)]
 
 
-def test_problem_drops_duplicates_and_keeps_dominated_cores():
+def test_problem_keeps_duplicates_and_dominated_cores():
     p = HittingProblem(FIG1_LEVELS, [(5, 0), (5, 5), (5, 5), (0, 5)])
-    # (5,0) and (0,5) are componentwise below (5,5): redundant, not wrong,
-    # so they stay, in first-appearance order; the repeated (5,5) goes
-    assert p.cores == [(1, 0), (1, 1), (0, 1)]
+    # (5,0) and (0,5) are componentwise below (5,5) and the repeated (5,5)
+    # equals it: redundant, not wrong, so every core stays, in order
+    assert p.cores == [(1, 0), (1, 1), (1, 1), (0, 1)]
     p.add_cores([(0, 5), (20, 0)])
-    assert [p.vector_at(k) for k in p.cores] == [(5, 0), (5, 5), (0, 5), (20, 0)]
+    assert [p.vector_at(k) for k in p.cores] == [
+        (5, 0), (5, 5), (5, 5), (0, 5), (0, 5), (20, 0)
+    ]
     assert min_cost_hitting_vector(p) == min_cost_hitting_vector(
         HittingProblem(FIG1_LEVELS, [(5, 5), (20, 0)])
     )
@@ -208,14 +210,15 @@ def _random_growing_pool(
     return levels, pool
 
 
-def _first_appearance(levels, pool) -> tuple[tuple[int, ...], ...]:
-    """Index-encoded cores of the pool, duplicates dropped, in first-appearance order."""
-    return tuple(dict.fromkeys(tuple(ls.index(c) for c, ls in zip(k, levels)) for k in pool))
+def _encoded(levels, pool) -> tuple[tuple[int, ...], ...]:
+    """Index-encoded cores of the pool, duplicates kept, in order."""
+    return tuple(tuple(ls.index(c) for c, ls in zip(k, levels)) for k in pool)
 
 
 def _reference_kept(levels, pool) -> tuple[tuple[int, ...], ...]:
-    """Index-encoded cores a one-shot quadratic dominance filter keeps."""
-    raw = _first_appearance(levels, pool)
+    """Index-encoded cores a one-shot quadratic duplicate and dominance
+    filter keeps."""
+    raw = tuple(dict.fromkeys(_encoded(levels, pool)))
     return tuple(
         k
         for k in raw
@@ -228,11 +231,12 @@ def test_add_cores_matches_fresh_build():
     for _ in range(400):
         levels, pool = _random_growing_pool(rng, saturated_ok=True)
         whole = HittingProblem(levels, pool)
-        assert whole.cores == list(_first_appearance(levels, pool))
+        assert whole.cores == list(_encoded(levels, pool))
         for i, masks in enumerate(whole.below):
             for t, mask in enumerate(masks):
                 assert mask == sum(1 << ci for ci, k in enumerate(whole.cores) if k[i] < t)
-        # dominated cores are redundant: dropping them changes no answer
+        # duplicate and dominated cores are redundant: dropping them
+        # changes no answer
         filtered = HittingProblem(
             levels,
             [tuple(ls[t] for ls, t in zip(levels, k)) for k in _reference_kept(levels, pool)],

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -193,6 +194,33 @@ def test_trace_roundtrip(events):
     for event in events:
         writer.write(event)
     assert read_trace(buf.getvalue()) == list(events)
+
+
+def test_trace_writer_splits_multiline_comments():
+    buf = io.StringIO()
+    TraceWriter(buf, comments=["invocation: hswcsp solve a\nb.wcsp", ""])
+    assert buf.getvalue().splitlines() == [
+        "# invocation: hswcsp solve a",
+        "# b.wcsp",
+        "# ",
+        TRACE_HEADER,
+    ]
+
+
+@given(st.lists(st.text(), max_size=3), events_strategy)
+def test_trace_roundtrip_with_any_comments(comments, events):
+    buf = io.StringIO()
+    writer = TraceWriter(buf, comments=comments)
+    for event in events:
+        writer.write(event)
+    assert read_trace(buf.getvalue()) == list(events)
+
+
+def test_readme_instance_example_is_fig1(fig1):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Instance format", 1)[1]
+    example = section.split("```\n", 2)[1]
+    assert parse_wcsp(example) == fig1
 
 
 def test_pure_csp_gets_a_zero_cost_function():
