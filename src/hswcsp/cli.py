@@ -1,23 +1,22 @@
 """Batch command line: solve instances, generate them, cross-check solvers.
 
 Exit codes: 0 success (OPTIMAL for solve, agreement for verify), 1 usage or
-input error, 2 solve timed out or was interrupted (Ctrl-C), 3 instance
-infeasible, 4 verify found the solvers and the exhaustive oracle
-disagreeing.
+input error, 2 solve timed out or was interrupted (Ctrl-C) before its
+bounds met, 3 instance infeasible, 4 verify found the solvers and the
+exhaustive oracle disagreeing. An interrupted solve reports the bounds
+it reached, OPTIMAL (exit 0) if they had met.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Callable, Sequence
 
 from .bruteforce import generate, optimal_cost
 from .engine import (
     INFEASIBLE,
     OPTIMAL,
-    TIMEOUT,
     CorePool,
     SolveResult,
     hs_lb,
@@ -109,7 +108,6 @@ def _format_ub(ub: int | float) -> str:
 def _run_solver(args: argparse.Namespace, w: Wcsp, sink: Callable | None) -> SolveResult:
     solver = {"lb": hs_lb, "ub": hs_ub, "lub": hs_lub}[args.alg]
     pool = CorePool()
-    t0 = time.monotonic()
     try:
         return solver(
             w, pool=pool, time_limit=args.time_limit,
@@ -117,18 +115,7 @@ def _run_solver(args: argparse.Namespace, w: Wcsp, sink: Callable | None) -> Sol
         )
     except KeyboardInterrupt:
         # Ctrl-C: the pool still holds certified bounds, so report them
-        lb, ub = pool.bounds()
-        return SolveResult(
-            status=TIMEOUT,
-            optimum=None,
-            lb=lb,
-            ub=ub,
-            witness=pool.best_witness,
-            cores_used=len(pool.cores),
-            iterations={},
-            wall_ms=(time.monotonic() - t0) * 1000,
-            trace=(),
-        )
+        return pool.result({}, False)
 
 
 def cmd_solve(args: argparse.Namespace, invocation: str) -> int:

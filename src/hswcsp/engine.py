@@ -66,7 +66,9 @@ class CorePool:
     and appends a TraceEvent to events, stamped in ms on a monotonic clock
     anchored when the pool was built (a solve re-anchors it at its start),
     so events is a faithful serialization of bound history. A solve also
-    hands each event to its trace sink, under the lock and in order.
+    hands each event to its trace sink, under the lock and in order. Each
+    solve that returns, and the CLI's Ctrl-C handler, ends in result, which
+    detaches the sink, so the pool can be reused for a warm restart.
     """
 
     def __init__(self):
@@ -124,6 +126,37 @@ class CorePool:
             self.best_witness = witness
             self._record("UB", value, source)
             return True
+
+    def result(self, iterations: dict[str, int], infeasible: bool) -> SolveResult:
+        """End a solve: apply the status rule to the bounds, detach the
+        trace sink and report, with wall time since the clock anchor.
+
+        INFEASIBLE when the solve proved it, OPTIMAL (recording DONE) when
+        lb == ub < inf, TIMEOUT otherwise; crossed bounds raise.
+        """
+        with self._lock:
+            lb, ub = self.lb, self.ub
+            if lb > ub:
+                raise RuntimeError(f"bounds crossed: lb {lb} > ub {ub}")
+            if infeasible:
+                status, optimum = INFEASIBLE, None
+            elif lb == ub < INF:
+                status, optimum = OPTIMAL, int(ub)
+                self._record("DONE", optimum, "MAIN")
+            else:
+                status, optimum = TIMEOUT, None
+            self._sink = None
+            return SolveResult(
+                status=status,
+                optimum=optimum,
+                lb=lb,
+                ub=ub,
+                witness=self.best_witness,
+                cores_used=len(self.cores),
+                iterations=iterations,
+                wall_ms=(time.monotonic() - self._t0) * 1000,
+                trace=tuple(self.events),
+            )
 
 
 @dataclass(frozen=True)
@@ -240,8 +273,6 @@ def _run_loops(
                     return True
                 pool.raise_lb(int(ub), source)
                 return False
-            if pool.lb >= pool.ub:
-                return False  # the hitter's cost met ub
             iterations[name] += 1
             offer_ub = partial(pool.offer_ub, source=source)
             grown = maximal_core(oracle, h, offer_ub, recall=True)
@@ -257,6 +288,8 @@ def _solve(
     seed_disjoint: bool,
     trace: Callable[[TraceEvent], None] | None,
 ) -> SolveResult:
+    """Anchor the pool's clock and sink at the start, run the loops until
+    they finish, halt or the SAT side aborts, and report pool.result."""
     if time_limit is not None and math.isnan(time_limit):
         raise ValueError("time_limit must be a number of seconds, got nan")
     t0 = time.monotonic()
@@ -286,29 +319,7 @@ def _solve(
                 infeasible = _run_loops(w, pool, oracle, halt, iterations)
     except SearchAborted:
         pass
-
-    lb, ub = pool.bounds()
-    if lb > ub:
-        raise RuntimeError(f"bounds crossed: lb {lb} > ub {ub}")
-    if infeasible:
-        status, optimum = INFEASIBLE, None
-    elif lb == ub and ub < INF:
-        status, optimum = OPTIMAL, int(ub)
-        with pool._lock:
-            pool._record("DONE", optimum, "MAIN")
-    else:
-        status, optimum = TIMEOUT, None
-    return SolveResult(
-        status=status,
-        optimum=optimum,
-        lb=lb,
-        ub=ub,
-        witness=pool.best_witness,
-        cores_used=len(pool.cores),
-        iterations=iterations,
-        wall_ms=(time.monotonic() - t0) * 1000,
-        trace=tuple(pool.events),
-    )
+    return pool.result(iterations, infeasible)
 
 
 def hs_lb(

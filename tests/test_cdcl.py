@@ -119,3 +119,37 @@ def test_answers_hold_under_frequent_clause_database_reduction(monkeypatch):
     assert answers == {True, False}
     assert counts["reduce"] >= 300
     assert counts["locked"] >= 100
+
+
+def test_answers_hold_across_activity_rescales():
+    # increments just under the rescale thresholds: the first bumps push
+    # an activity past them and every activity is scaled down together
+    rng = random.Random(7302)
+    nvars, nclauses = 50, 213
+    var_rescaled = cla_rescaled = 0
+    for _ in range(40):
+        clauses = [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
+            for _ in range(nclauses)
+        ]
+        solver = _solver(nvars, clauses)
+        solver.var_inc, solver.cla_inc = 1e99, 1e19
+        for _ in range(5):
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, nvars + 1), rng.randint(0, 6))
+            ]
+            answer = solver.solve(assumptions)
+            assert answer == _solver(nvars, clauses).solve(assumptions)
+            if answer:
+                assert _satisfies(solver.model, clauses)
+        # increments only grow between rescales
+        var_rescaled += solver.var_inc < 1e99
+        cla_rescaled += solver.cla_inc < 1e19
+    assert var_rescaled >= 30 and cla_rescaled >= 1
+
+
+def test_a_tautology_is_not_stored():
+    solver = _solver(2, [[1, 2]])
+    assert solver.add_clause([2, 1, -2])
+    assert len(solver.clauses) == 1 and solver.ok

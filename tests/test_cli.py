@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hswcsp import SolveResult, maximal_core, read_trace, wcsp_to_text
+from hswcsp import SolveResult, TraceWriter, maximal_core, read_trace, wcsp_to_text
 from hswcsp import cli
 from hswcsp.cli import main
 
@@ -62,11 +62,13 @@ def test_solve_infeasible_exit_code(infeasible, tmp_path, capsys):
         ("solve", "FIG1", "--time-limit", "nan"),
         ("verify", "FIG1", "--time-limit", "-1"),
         ("verify", "FIG1", "--time-limit", "nan"),
+        ("solve", "FIG1", "--time-limit", "abc"),
+        ("gen", "--vars", "3", "--dom", "2", "--funcs", "3", "-o", "DIR"),
     ],
 )
 def test_usage_and_input_errors_exit_1(fig1_path, tmp_path, capsys, argv):
-    argv = [fig1_path if a == "FIG1" else a for a in argv]
-    argv = [str(tmp_path / "out.wcsp") if a == "OUT" else a for a in argv]
+    subs = {"FIG1": fig1_path, "OUT": str(tmp_path / "out.wcsp"), "DIR": str(tmp_path)}
+    argv = [subs.get(a, a) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "error" in err
@@ -192,6 +194,36 @@ def test_ctrl_c_reports_bounds_so_far(fig1_path, tmp_path, capsys, monkeypatch):
     assert re.fullmatch(r"STATUS TIMEOUT LB 0 UB 25 CORES 1 TIME_MS \d+", lines[1])
     rows = [line.split(",") for line in trace.read_text().strip().split("\n")[3:]]
     assert [(r[1], r[2]) for r in rows] == [("UB", "25"), ("CORE", "1")]
+
+
+def test_ctrl_c_after_the_bounds_meet_reports_optimal(
+    fig1_path, tmp_path, capsys, monkeypatch
+):
+    # interrupted right after the UB 20 row, when lb is already 20: equal
+    # certified bounds prove the optimum, as they do for a finished solve
+    write = TraceWriter.write
+    interrupted = False
+
+    def interrupted_after_ub_20(self, event):
+        nonlocal interrupted
+        write(self, event)
+        if (event.kind, event.value) == ("UB", 20) and not interrupted:
+            interrupted = True
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(TraceWriter, "write", interrupted_after_ub_20)
+    trace = tmp_path / "t.csv"
+    code, out, err = run(
+        capsys, "solve", fig1_path, "--alg", "lb", "--trace", str(trace)
+    )
+    assert interrupted
+    assert code == 0 and err == ""
+    lines = out.strip().split("\n")
+    assert lines[0] == "OPTIMAL 20"
+    assert re.fullmatch(r"STATUS OPTIMAL LB 20 UB 20 CORES 1 TIME_MS \d+", lines[1])
+    rows = [line.split(",") for line in trace.read_text().strip().split("\n")[3:]]
+    assert [r[1] for r in rows] == ["UB", "CORE", "LB", "UB", "DONE"]
+    assert rows[-1][1:] == ["DONE", "20", "MAIN"]
 
 
 def test_gen_is_deterministic(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import io
 import math
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from hswcsp import (
     Encoding,
     SatOracle,
     SolveResult,
+    TraceWriter,
     Wcsp,
     generate,
     hs_lb,
@@ -127,6 +129,18 @@ def test_warm_restart_is_instant(fig1):
     assert again.status == OPTIMAL and again.optimum == 20
     assert again.iterations == {} and shape(again) == [("DONE", 20, "MAIN")]
     assert again.witness == first.witness
+
+
+def test_a_solve_detaches_its_trace_sink(fig1):
+    # the pool outlives the solve; its sink must not outlive the trace file
+    pool = CorePool()
+    buf = io.StringIO()
+    r = hs_lb(fig1, pool=pool, trace=TraceWriter(buf).write)
+    assert r.status == OPTIMAL
+    buf.close()
+    assert pool.add_core((0, 5), "MAIN")
+    last = pool.events[-1]
+    assert (last.kind, last.value, last.source) == ("CORE", 2, "MAIN")
 
 
 @pytest.mark.parametrize("name, alg", ALGS)
@@ -331,6 +345,15 @@ def test_seeding_stops_at_a_sat_first_probe():
     pool = CorePool()
     assert seed_disjoint_cores(w, pool, SatOracle(w)) == 0
     assert pool.cores == [] and pool.lb == 0 and pool.ub == 0
+
+
+def test_seeding_stops_when_a_core_has_no_fresh_component(infeasible):
+    # every probe is UNSAT, so the first core grows to the maximum vector
+    # and leaves nothing to separate the next probe on
+    pool = CorePool()
+    assert seed_disjoint_cores(infeasible, pool, SatOracle(infeasible)) == 1
+    assert pool.cores == [infeasible.max_vector()]
+    assert (pool.lb, pool.ub) == (sum(infeasible.min_vector()), INF)
 
 
 def test_only_the_workers_growth_recalls(monkeypatch):

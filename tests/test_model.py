@@ -84,11 +84,43 @@ def test_levels_are_sorted_distinct_sub_top():
             dict(num_vars=1, domains=[2], functions=[((0,), {(0,): -1, (1,): 0})]),
             "negative",
         ),
+        (dict(num_vars=1, domains=[2], functions=[((), {(): 1})]), "empty scope"),
+        (
+            dict(num_vars=1, domains=[2], functions=[((1,), {(0,): 1, (1,): 2})]),
+            "out of range",
+        ),
+        (dict(num_vars=2, domains=[2], functions=[]), "domain list length"),
+        (
+            dict(num_vars=1, domains=[2], functions=[((0,), {(0,): 1, (1,): 2})], top=0),
+            "top must be a positive integer",
+        ),
+        (
+            dict(num_vars=1, domains=[2], functions=[((0,), {(0,): 0, (1,): 2**63})],
+                 top=2**64),
+            "exceeds the 64-bit budget",
+        ),
+        (
+            dict(num_vars=1, domains=[2], top=2**64, functions=[
+                ((0,), {(0,): 0, (1,): 2**62}), ((0,), {(0,): 2**62, (1,): 0}),
+            ]),
+            "sum of maximum levels",
+        ),
+        (
+            dict(num_vars=1, domains=[2], functions=[((0,), {(0,): 1, (1, 1): 2})]),
+            "does not match scope arity",
+        ),
+        (
+            dict(num_vars=1, domains=[2], functions=[((0,), {(0,): 1, (2,): 2})]),
+            "out of domain",
+        ),
     ],
 )
 def test_build_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        Wcsp.build(kwargs["num_vars"], kwargs["domains"], kwargs["functions"], top=10)
+        Wcsp.build(
+            kwargs["num_vars"], kwargs["domains"], kwargs["functions"],
+            top=kwargs.get("top", 10),
+        )
 
 
 def test_constructor_rejects_inconsistent_levels():

@@ -57,6 +57,12 @@ def test_block_at_top_becomes_hard():
         ("t 1 2 1 5\n2\n1 0 0 2\n0 1\n0 2", "duplicate tuple"),
         ("t 1 2 1 5\n2\n1 0 0 1\n0 -3", "negative cost"),
         ("t 1 2 1 5\n2\n1 0 0 0\n7", "trailing tokens"),
+        ("t 1 2 1 5\n0", "domain size 0 of variable 0 must be positive"),
+        ("t 1 2 1 5\n2\n0 0 0", "arity 0 of function 0 must be positive"),
+        ("t 1 2 1 5\n2\n1 0 -1 0", "negative default cost"),
+        ("t 1 2 1 5\n2\n1 0 0 -1", "negative tuple count"),
+        # a model rule, not a text rule: Wcsp.build's error as a ParseError
+        (f"t 1 2 1 {2**64}\n2\n1 0 0 1\n0 {2**63}", "exceeds the 64-bit budget"),
     ],
 )
 def test_parse_errors(text, fragment):
