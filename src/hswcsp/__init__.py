@@ -5,11 +5,12 @@ table cost functions), encodes them for an incremental SAT backend, and
 closes in on the optimum from both sides: minimum-cost hitting vectors of
 a growing pool of infeasible cost vectors push the lower bound, satisfiable
 probes push the upper bound, and hs_lub alternates the two loops over a
-shared pool. Exhaustive oracles and a reproducible instance generator back
-the test suite; the `hswcsp` console script wraps batch solving.
+shared pool. An exhaustive optimum checks small instances, a reproducible
+generator builds test and benchmark instances, and the `hswcsp` console
+script wraps batch solving.
 """
 
-from .bruteforce import SplitMix64, classify_all_vectors, exhaustive_mhv, generate, optimal_cost
+from .bruteforce import SplitMix64, generate, optimal_cost
 from .core_grow import maximal_core
 from .engine import (
     INFEASIBLE,
@@ -30,8 +31,6 @@ from .model import (
     HardConstraint,
     SearchAborted,
     Wcsp,
-    hits,
-    leq,
 )
 from .sat_oracle import Encoding, OracleVerdict, SatOracle
 from .wcsp_io import (
@@ -66,15 +65,11 @@ __all__ = [
     "TraceEvent",
     "TraceWriter",
     "Wcsp",
-    "classify_all_vectors",
     "cost_bounded_hitting_vector",
-    "exhaustive_mhv",
     "generate",
-    "hits",
     "hs_lb",
     "hs_lub",
     "hs_ub",
-    "leq",
     "maximal_core",
     "min_cost_hitting_vector",
     "optimal_cost",

@@ -1,20 +1,18 @@
-"""Exhaustive oracles and a reproducible instance generator.
+"""The exhaustive optimum and a reproducible instance generator.
 
-Everything here is deliberately naive: full enumeration with hard size
-guards. These functions are the reference the optimized solver is tested
-against, so they must stay obviously correct.
+`optimal_cost` enumerates every assignment under a hard size guard; it is
+the independent check of a reported optimum (`hswcsp verify`, the
+benchmark's optimum cache) and stays deliberately naive, so that it is
+obviously correct. `generate` builds deterministic random instances.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Sequence
 
-from .model import Wcsp, leq
+from .model import Wcsp
 
 MAX_ASSIGNMENTS = 10_000_000
-MAX_VECTORS = 100_000
-MAX_MHV_SPACE = 1_000_000
 
 
 def _assignment_space(w: Wcsp) -> int:
@@ -38,106 +36,6 @@ def optimal_cost(w: Wcsp) -> int | None:
         if ev.feasible and (best is None or ev.total < best):
             best = ev.total
     return best
-
-
-def feasible_cost_profiles(w: Wcsp) -> list[tuple[int, ...]]:
-    """Per-function cost tuples of feasible assignments, minimal ones only.
-
-    A vector v admits a satisfying assignment iff some profile here is
-    componentwise <= v, so this is the compact certificate for solution
-    vectors.
-    """
-    _guard(_assignment_space(w), MAX_ASSIGNMENTS, "assignment")
-    profiles: set[tuple[int, ...]] = set()
-    for a in w.assignments():
-        ev = w.evaluate(a)
-        if ev.feasible:
-            profiles.add(ev.per_function)
-    return [p for p in profiles if not any(q != p and leq(q, p) for q in profiles)]
-
-
-def vector_is_solution(w: Wcsp, v: Sequence[int]) -> bool:
-    """True iff the CSP induced by bounding each function at v is satisfiable."""
-    w.level_indices(v)  # checks that v is a vector of levels
-    _guard(_assignment_space(w), MAX_ASSIGNMENTS, "assignment")
-    for a in w.assignments():
-        ev = w.evaluate(a)
-        if ev.feasible and leq(ev.per_function, v):
-            return True
-    return False
-
-
-class VectorClassification(NamedTuple):
-    cores: list[tuple[int, ...]]
-    solutions: list[tuple[int, ...]]
-
-
-def classify_all_vectors(w: Wcsp) -> VectorClassification:
-    """Partition the whole level-product space into cores and solutions."""
-    space = 1
-    for f in w.cost_functions:
-        space *= len(f.levels)
-    _guard(space, MAX_VECTORS, "vector")
-    profiles = feasible_cost_profiles(w)
-    cores, solutions = [], []
-    for v in itertools.product(*(f.levels for f in w.cost_functions)):
-        if any(leq(p, v) for p in profiles):
-            solutions.append(v)
-        else:
-            cores.append(v)
-    return VectorClassification(cores, solutions)
-
-
-def maximal_cores(w: Wcsp) -> list[tuple[int, ...]]:
-    """Cores not dominated by any other core, in classification order.
-
-    Solutions are closed upward, so cores are closed downward: a core
-    below another has a single-level raise that is still a core. So a
-    core is dominated exactly when one of its single-level raises is one.
-    """
-    cores = classify_all_vectors(w).cores
-    is_core = set(cores)
-
-    def raises(k: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-        for i, (f, c) in enumerate(zip(w.cost_functions, k)):
-            j = f.index[c] + 1
-            if j < len(f.levels):
-                yield k[:i] + (f.levels[j],) + k[i + 1 :]
-
-    return [k for k in cores if not any(r in is_core for r in raises(k))]
-
-
-def exhaustive_mhv(
-    levels: Sequence[Sequence[int]], pool: Iterable[Sequence[int]]
-) -> tuple[int, ...] | None:
-    """Minimum-cost vector hitting the pool, by full enumeration, or None
-    when no vector hits it.
-
-    Ties broken by the lexicographically smallest level-index tuple, the
-    same rule the branch-and-bound solver uses.
-    """
-    levels = [tuple(ls) for ls in levels]
-    pool = [tuple(k) for k in pool]
-    for k in pool:
-        if len(k) != len(levels):
-            raise ValueError(f"pool vector {k} has wrong length")
-        for ls, c in zip(levels, k):
-            if c not in ls:
-                raise ValueError(f"{c} is not a level in {ls}")
-    space = 1
-    for ls in levels:
-        space *= len(ls)
-    _guard(space, MAX_MHV_SPACE, "level")
-    best_key: tuple[int, tuple[int, ...]] | None = None
-    best_vec: tuple[int, ...] | None = None
-    for idx in itertools.product(*(range(len(ls)) for ls in levels)):
-        v = tuple(ls[i] for ls, i in zip(levels, idx))
-        if any(leq(v, k) for k in pool):
-            continue
-        key = (sum(v), idx)
-        if best_key is None or key < best_key:
-            best_key, best_vec = key, v
-    return best_vec
 
 
 # --- instance generation ---

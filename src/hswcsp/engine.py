@@ -196,37 +196,40 @@ def seed_disjoint_cores(w: Wcsp, pool: CorePool, oracle: SatOracle) -> int:
     seeded cores pays, per core, at least the cheapest next-level increment
     over that core's below-maximum components, on top of the sum of all
     minimum levels. That sum is pushed as a lower bound with source SEED.
-    Every probe goes to `oracle`, an oracle of w, and stops on its stop
-    predicate. Returns the number of cores added.
+    When the oracle's stop predicate ends seeding early, the bump of the
+    cores pooled so far is pushed before the SearchAborted propagates.
+    Every probe goes to `oracle`, an oracle of w. Returns the number of
+    cores added.
     """
     mins, maxs = w.min_vector(), w.max_vector()
     used: set[int] = set()
     added: list[tuple[int, ...]] = []
     offer_ub = partial(pool.offer_ub, source="SEED")
-    while True:
-        probe = tuple(maxs[i] if i in used else mins[i] for i in range(w.m))
-        verdict = oracle.solve_under_vector(probe)
-        if verdict.satisfiable:
-            pool.offer_ub(w.evaluate(verdict.witness).total, verdict.witness, "SEED")
-            break
-        grown = maximal_core(oracle, probe, offer_ub)
-        pool.add_core(grown, "SEED")
-        added.append(grown)
-        fresh = {i for i in range(w.m) if grown[i] < maxs[i]} - used
-        if not fresh:
-            break  # nothing left to separate on; avoid re-probing forever
-        used |= fresh
-
-    if added:
-        bump = sum(mins)
-        for core in added:
-            increments = [
-                f.levels[f.index[level] + 1] - mins[i]
-                for i, (f, level) in enumerate(zip(w.cost_functions, core))
-                if level < maxs[i]
-            ]
-            bump += min(increments, default=0)
-        pool.raise_lb(bump, "SEED")
+    try:
+        while True:
+            probe = tuple(maxs[i] if i in used else mins[i] for i in range(w.m))
+            verdict = oracle.solve_under_vector(probe)
+            if verdict.satisfiable:
+                pool.offer_ub(w.evaluate(verdict.witness).total, verdict.witness, "SEED")
+                break
+            grown = maximal_core(oracle, probe, offer_ub)
+            pool.add_core(grown, "SEED")
+            added.append(grown)
+            fresh = {i for i in range(w.m) if grown[i] < maxs[i]} - used
+            if not fresh:
+                break  # nothing left to separate on; avoid re-probing forever
+            used |= fresh
+    finally:
+        if added:
+            bump = sum(mins)
+            for core in added:
+                increments = [
+                    f.levels[f.index[level] + 1] - mins[i]
+                    for i, (f, level) in enumerate(zip(w.cost_functions, core))
+                    if level < maxs[i]
+                ]
+                bump += min(increments, default=0)
+            pool.raise_lb(bump, "SEED")
     return len(added)
 
 
@@ -357,10 +360,9 @@ def hs_lub(
 
     The loops take turns in one thread, one step each, with one SAT oracle
     shared by seeding and both loops and one HittingProblem shared by both
-    loops, so a run is deterministic. The paper
-    runs them as two threads; under the interpreter lock threads cannot run
-    in parallel, and the synergy comes from the shared pool, which the
-    round-robin keeps. deterministic is accepted for compatibility and has
+    loops, so a run is deterministic. The paper runs them as two threads;
+    under the interpreter lock threads cannot run in parallel, and the
+    synergy comes from the shared pool, which the round-robin keeps. deterministic is accepted for compatibility and has
     no effect. One loop alone is hs_lb or hs_ub.
     """
     return _solve(w, ("lb", "ub"), pool, time_limit, seed_disjoint, trace)

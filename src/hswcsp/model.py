@@ -262,19 +262,3 @@ class Wcsp:
             hc.key(a) in hc.forbidden for hc in self.hard_constraints
         )
         return Evaluation(sum(per), per, feasible)
-
-
-def leq(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Componentwise u <= v; u is then dominated by v."""
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    return all(a <= b for a, b in zip(u, v))
-
-
-def hits(u: Sequence[int], pool: Iterable[Sequence[int]]) -> bool:
-    """True iff no vector in the pool dominates u.
-
-    Equivalently: for every k in the pool there is a component where u is
-    strictly above k.
-    """
-    return not any(leq(u, k) for k in pool)

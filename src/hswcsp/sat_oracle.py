@@ -43,8 +43,8 @@ add_clause, a solve that answers True or False or raises SearchAborted,
 and two lists it sets: `model` after a True answer (`model[v]` is 1 when
 variable v is true, -1 when it is false) and `conflict` after a False
 one. A witness is decoded straight from `model`. The default is the
-CdclSolver class; the NaiveSolver class, a backtracking solver kept for
-differential testing, reports every assumption as failed.
+CdclSolver class; tests plug a reference backend in through the same
+factory, to cross-check the oracle's verdicts.
 """
 
 from __future__ import annotations
@@ -89,107 +89,6 @@ class SatBackend(Protocol):
         assumptions: Sequence[int] = (),
         should_stop: Callable[[], bool] | None = None,
     ) -> bool: ...
-
-
-class NaiveSolver:
-    """Chronological backtracking over the same clause set.
-
-    Exists to cross-check the CDCL solver, so it stays dumb on purpose:
-    one static pure-literal pass (gets the unasserted selectors out of the
-    way), then depth-first search in variable order with violation checks
-    against the occurrence lists. An UNSAT answer blames every assumption,
-    which is sound but never lets core growth skip a probe.
-    """
-
-    def __init__(self) -> None:
-        self.nvars = 0
-        self.clauses: list[list[int]] = []
-        self.ok = True
-        self.model: list[int] = []
-        self.conflict: list[int] = []
-        self._occur: list[list[list[int]]] | None = None
-
-    def new_var(self) -> int:
-        self.nvars += 1
-        self._occur = None
-        return self.nvars
-
-    def add_clause(self, lits) -> bool:
-        lits = sorted(set(lits), key=abs)
-        if any(-l in lits for l in lits):
-            return True
-        if not lits:
-            self.ok = False
-            return False
-        self.clauses.append(list(lits))
-        self._occur = None
-        return True
-
-    def _occurrences(self) -> list[list[list[int]]]:
-        if self._occur is None:
-            occ: list[list[list[int]]] = [[] for _ in range(self.nvars + 1)]
-            for c in self.clauses:
-                for l in c:
-                    occ[abs(l)].append(c)
-            self._occur = occ
-        return self._occur
-
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        should_stop: Callable[[], bool] | None = None,
-    ) -> bool:
-        self.conflict = list(assumptions)
-        if not self.ok:
-            return False
-        assign = [0] * (self.nvars + 1)
-        for lit in assumptions:
-            v, s = abs(lit), (1 if lit > 0 else -1)
-            if assign[v] == -s:
-                return False
-            assign[v] = s
-
-        pos = bytearray(self.nvars + 1)
-        neg = bytearray(self.nvars + 1)
-        for c in self.clauses:
-            for l in c:
-                if l > 0:
-                    pos[l] = 1
-                else:
-                    neg[-l] = 1
-        for v in range(1, self.nvars + 1):
-            if assign[v] == 0 and not (pos[v] and neg[v]):
-                assign[v] = 1 if pos[v] else -1
-
-        def violated(c: list[int]) -> bool:
-            for l in c:
-                if (assign[l] if l > 0 else -assign[-l]) != -1:
-                    return False
-            return True
-
-        if any(violated(c) for c in self.clauses):
-            return False
-
-        occ = self._occurrences()
-        order = [v for v in range(1, self.nvars + 1) if assign[v] == 0]
-
-        def dfs(i: int) -> bool:
-            if should_stop is not None and should_stop():
-                raise SearchAborted("naive sat search interrupted")
-            if i == len(order):
-                return True
-            v = order[i]
-            for s in (-1, 1):
-                assign[v] = s
-                if not any(violated(c) for c in occ[v]) and dfs(i + 1):
-                    return True
-            assign[v] = 0
-            return False
-
-        if dfs(0):
-            self.model = list(assign)
-            return True
-        return False
 
 
 class Encoding:

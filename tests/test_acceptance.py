@@ -15,23 +15,23 @@ from hswcsp import (
     HittingProblem,
     SatOracle,
     cost_bounded_hitting_vector,
-    exhaustive_mhv,
     generate,
-    hits,
     hs_lb,
     hs_lub,
     hs_ub,
     min_cost_hitting_vector,
     optimal_cost,
 )
-from hswcsp.bruteforce import (
+from hswcsp.cdcl import CdclSolver
+from oracles import (
+    NaiveSolver,
     classify_all_vectors,
+    exhaustive_mhv,
     feasible_cost_profiles,
+    hits,
     maximal_cores,
     vector_is_solution,
 )
-from hswcsp.cdcl import CdclSolver
-from hswcsp.sat_oracle import NaiveSolver
 
 OPTIMAL = "OPTIMAL"
 

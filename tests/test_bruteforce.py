@@ -3,15 +3,15 @@ import pytest
 from hswcsp import (
     SplitMix64,
     Wcsp,
-    classify_all_vectors,
-    exhaustive_mhv,
     generate,
-    leq,
     optimal_cost,
     wcsp_to_text,
 )
-from hswcsp.bruteforce import (
+from oracles import (
+    classify_all_vectors,
+    exhaustive_mhv,
     feasible_cost_profiles,
+    leq,
     maximal_cores,
     vector_is_solution,
 )

@@ -22,15 +22,7 @@ its answers must still match a fresh solver's.
 import random
 
 from hswcsp.cdcl import CdclSolver
-
-
-def _solver(nvars, clauses):
-    solver = CdclSolver()
-    for _ in range(nvars):
-        solver.new_var()
-    for c in clauses:
-        solver.add_clause(c)
-    return solver
+from oracles import load
 
 
 def _satisfies(model, clauses):
@@ -46,7 +38,7 @@ def test_models_are_total_and_satisfying_under_frequent_restarts():
             [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
             for _ in range(nclauses)
         ]
-        solver = _solver(nvars, clauses)
+        solver = load(CdclSolver(), nvars, clauses)
         solver.RESTART_BASE = 2
         for _ in range(5):
             assumptions = [
@@ -93,7 +85,7 @@ def test_answers_hold_under_frequent_clause_database_reduction(monkeypatch):
             [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
             for _ in range(nclauses)
         ]
-        solver = _solver(nvars, clauses)
+        solver = load(CdclSolver(), nvars, clauses)
         solver.max_learnts = 1.0
         for _ in range(5):
             assumptions = [
@@ -102,13 +94,13 @@ def test_answers_hold_under_frequent_clause_database_reduction(monkeypatch):
             ]
             answer = solver.solve(assumptions)
             answers.add(answer)
-            assert answer == _solver(nvars, clauses).solve(assumptions)
+            assert answer == load(CdclSolver(), nvars, clauses).solve(assumptions)
             if answer:
                 assert _satisfies(solver.model, clauses)
                 assert all(solver.model[abs(lit)] == (1 if lit > 0 else -1) for lit in assumptions)
             else:
                 assert set(solver.conflict) <= set(assumptions)
-                assert not _solver(nvars, clauses).solve(solver.conflict)
+                assert not load(CdclSolver(), nvars, clauses).solve(solver.conflict)
             # every stored clause is watched by its first two literals, once
             stored = solver.clauses + solver.learned
             assert sum(map(len, solver.watches)) == 2 * len(stored)
@@ -132,7 +124,7 @@ def test_answers_hold_across_activity_rescales():
             [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
             for _ in range(nclauses)
         ]
-        solver = _solver(nvars, clauses)
+        solver = load(CdclSolver(), nvars, clauses)
         solver.var_inc, solver.cla_inc = 1e99, 1e19
         for _ in range(5):
             assumptions = [
@@ -140,7 +132,7 @@ def test_answers_hold_across_activity_rescales():
                 for v in rng.sample(range(1, nvars + 1), rng.randint(0, 6))
             ]
             answer = solver.solve(assumptions)
-            assert answer == _solver(nvars, clauses).solve(assumptions)
+            assert answer == load(CdclSolver(), nvars, clauses).solve(assumptions)
             if answer:
                 assert _satisfies(solver.model, clauses)
         # increments only grow between rescales
@@ -150,6 +142,6 @@ def test_answers_hold_across_activity_rescales():
 
 
 def test_a_tautology_is_not_stored():
-    solver = _solver(2, [[1, 2]])
+    solver = load(CdclSolver(), 2, [[1, 2]])
     assert solver.add_clause([2, 1, -2])
     assert len(solver.clauses) == 1 and solver.ok

@@ -8,12 +8,10 @@ from hswcsp import (
     SatOracle,
     SearchAborted,
     generate,
-    leq,
     maximal_core,
 )
-from hswcsp.bruteforce import classify_all_vectors, maximal_cores, vector_is_solution
 from hswcsp.cdcl import CdclSolver
-from hswcsp.sat_oracle import NaiveSolver
+from oracles import NaiveSolver, classify_all_vectors, leq, maximal_cores, vector_is_solution
 
 
 @pytest.mark.parametrize("start", [(0, 0), (0, 5), (5, 0), (5, 5)])

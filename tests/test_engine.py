@@ -14,6 +14,7 @@ from hswcsp import (
     CorePool,
     Encoding,
     SatOracle,
+    SearchAborted,
     SolveResult,
     TraceWriter,
     Wcsp,
@@ -354,6 +355,30 @@ def test_seeding_stops_when_a_core_has_no_fresh_component(infeasible):
     assert seed_disjoint_cores(infeasible, pool, SatOracle(infeasible)) == 1
     assert pool.cores == [infeasible.max_vector()]
     assert (pool.lb, pool.ub) == (sum(infeasible.min_vector()), INF)
+
+
+def test_seeding_stopped_early_keeps_its_bump():
+    """The cores pooled before a stop prove their bump: their
+    below-maximum components are pairwise disjoint."""
+    w = generate(seed=4, num_vars=16, max_dom=3, num_funcs=20, cost_range=2,
+                 hard_density=0.2)  # seeding runs to three cores
+    pool = CorePool()
+    oracle = SatOracle(w, should_stop=lambda: len(pool.cores) >= 2)
+    with pytest.raises(SearchAborted):
+        seed_disjoint_cores(w, pool, oracle)
+    assert len(pool.cores) == 2
+    mins, maxs = w.min_vector(), w.max_vector()
+    bump = sum(mins) + sum(
+        min(
+            f.levels[f.index[level] + 1] - mins[i]
+            for i, (f, level) in enumerate(zip(w.cost_functions, core))
+            if level < maxs[i]
+        )
+        for core in pool.cores
+    )
+    assert bump > 0 and pool.lb == bump
+    last = pool.events[-1]
+    assert (last.kind, last.value, last.source) == ("LB", bump, "SEED")
 
 
 def test_only_the_workers_growth_recalls(monkeypatch):

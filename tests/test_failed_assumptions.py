@@ -9,18 +9,9 @@ one that produced them, and against enumeration where it applies.
 import math
 import random
 
-from hswcsp import SatOracle, generate, leq
-from hswcsp.bruteforce import classify_all_vectors
+from hswcsp import SatOracle, generate
 from hswcsp.cdcl import CdclSolver
-from hswcsp.sat_oracle import NaiveSolver
-
-
-def _load(solver, nvars, clauses):
-    for _ in range(nvars):
-        solver.new_var()
-    for c in clauses:
-        solver.add_clause(c)
-    return solver
+from oracles import NaiveSolver, classify_all_vectors, leq, load
 
 
 def _random_cnf(rng: random.Random) -> tuple[int, list[list[int]]]:
@@ -38,8 +29,8 @@ def test_failed_assumptions_on_random_cnfs():
     unsat = strict = 0
     for _ in range(150):
         nvars, clauses = _random_cnf(rng)
-        solver = _load(CdclSolver(), nvars, clauses)  # reused: learns across calls
-        naive = _load(NaiveSolver(), nvars, clauses)
+        solver = load(CdclSolver(), nvars, clauses)  # reused: learns across calls
+        naive = load(NaiveSolver(), nvars, clauses)
         for _ in range(6):
             k = rng.randint(0, nvars)
             assumptions = [
@@ -55,29 +46,29 @@ def test_failed_assumptions_on_random_cnfs():
             unsat += 1
             conflict = solver.conflict
             assert set(conflict) <= set(assumptions)
-            assert not _load(CdclSolver(), nvars, clauses).solve(conflict)
-            assert not _load(NaiveSolver(), nvars, clauses).solve(conflict)
+            assert not load(CdclSolver(), nvars, clauses).solve(conflict)
+            assert not load(NaiveSolver(), nvars, clauses).solve(conflict)
             strict += len(set(conflict)) < len(set(assumptions))
     assert unsat >= 100
     assert strict >= 30
 
 
 def test_level_zero_unsat_blames_no_assumption():
-    s = _load(CdclSolver(), 2, [[1], [-1, 2], [-2]])
+    s = load(CdclSolver(), 2, [[1], [-1, 2], [-2]])
     assert s.solve([1, 2]) is False
     assert s.conflict == []
     assert s.solve([]) is False and s.conflict == []
 
 
 def test_assumption_false_at_level_zero_blames_itself():
-    s = _load(CdclSolver(), 3, [[-1], [2, 3]])
+    s = load(CdclSolver(), 3, [[-1], [2, 3]])
     assert s.solve([2, 1, 3]) is False
     assert s.conflict == [1]
 
 
 def test_conflict_follows_implications():
     # 1 -> 2 -> 3, so assuming 1 and -3 fails; 4 is irrelevant
-    s = _load(CdclSolver(), 4, [[-1, 2], [-2, 3]])
+    s = load(CdclSolver(), 4, [[-1, 2], [-2, 3]])
     assert s.solve([4, 1, -3]) is False
     assert sorted(s.conflict) == [-3, 1]
     assert s.solve([1, 4]) is True
@@ -85,7 +76,7 @@ def test_conflict_follows_implications():
 
 
 def test_naive_solver_blames_every_assumption():
-    s = _load(NaiveSolver(), 3, [[-1, 2], [-2, 3]])
+    s = load(NaiveSolver(), 3, [[-1, 2], [-2, 3]])
     assert s.solve([1, -3, 2]) is False
     assert s.conflict == [1, -3, 2]
 

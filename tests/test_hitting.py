@@ -12,12 +12,11 @@ from hswcsp import (
     HittingProblem,
     SearchAborted,
     cost_bounded_hitting_vector,
-    exhaustive_mhv,
-    hits,
     min_cost_hitting_vector,
 )
 import hswcsp.hitting as hitting
 from hswcsp.hitting import _branch_and_bound, _lex_min_at_cost
+from oracles import exhaustive_mhv, hits
 
 FIG1_LEVELS = [(0, 5, 20), (0, 5, 20)]
 

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hswcsp import Wcsp, generate, hits, leq, parse_wcsp
+from hswcsp import Wcsp, generate, parse_wcsp
 from hswcsp.model import CostFunction, Evaluation, HardConstraint
+from oracles import hits, leq
 
 
 def test_fig1_shape(fig1):

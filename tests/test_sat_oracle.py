@@ -19,15 +19,14 @@ from hswcsp import (
     hs_lb,
     hs_lub,
     hs_ub,
-    leq,
     maximal_core,
     optimal_cost,
     seed_disjoint_cores,
 )
-from hswcsp.bruteforce import vector_is_solution
 from hswcsp.cdcl import CdclSolver
 from hswcsp.model import CostFunction
-from hswcsp.sat_oracle import NaiveSolver, OracleVerdict
+from hswcsp.sat_oracle import OracleVerdict
+from oracles import NaiveSolver, leq, vector_is_solution
 
 BACKENDS = (CdclSolver, NaiveSolver)
 each_backend = pytest.mark.parametrize("backend", BACKENDS, ids=("cdcl", "naive"))
