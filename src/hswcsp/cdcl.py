@@ -18,11 +18,10 @@ backtracking leaves it stale, and every enqueue sets it.
 solve() returns True (model available) or False (unsatisfiable under the
 given assumptions), and raises SearchAborted when its should_stop
 predicate fires at a conflict. However it ends, a raise included, it
-leaves the solver at decision level 0, ready for add_clause. After a True
-answer, `model[v]` is 1 when variable v is true and -1 when it is false
-(`model[0]` is 0), and every variable not fixed at level 0 saves its model
-value as its phase; that exit resets the full trail with list operations
-instead of unassigning one variable at a time. Every False answer also
+leaves through one backtrack to decision level 0, ready for add_clause.
+After a True answer, `model[v]` is 1 when variable v is true and -1 when
+it is false (`model[0]` is 0), and that backtrack saves the model value of
+every variable not fixed at level 0 as its phase. Every False answer also
 sets `conflict`, the failed assumptions: a subset of the assumption
 literals that is unsatisfiable on its own together with the clauses
 (MiniSat's analyzeFinal; Een & Sorensson, SAT 2003). It is found by
@@ -160,7 +159,7 @@ class CdclSolver:
     def _backtrack(self, target: int, requeue: bool = True) -> None:
         """Undo every level above target, saving each unassigned variable's
         value as its phase. Unassigned variables go back on the decision
-        heap unless requeue is False, which only the exits from solve pass:
+        heap unless requeue is False, which every exit from solve passes:
         the next solve builds a fresh heap."""
         trail_lim = self.trail_lim
         if len(trail_lim) <= target:
@@ -184,26 +183,6 @@ class CdclSolver:
             for lit in undone:
                 v = lit if lit > 0 else -lit
                 heappush(order, (-activity[v], v))
-        self.qhead = min(self.qhead, bound)
-
-    def _reset_after_model(self) -> None:
-        """_backtrack(0, requeue=False) for a trail that assigns every
-        variable, the state of a SAT exit: every phase above level 0 becomes
-        the model's value, and only the level-0 literals stay assigned."""
-        trail = self.trail
-        bound = self.trail_lim[0]
-        self.trail_lim.clear()
-        fixed = trail[:bound]
-        del trail[bound:]
-        polarity = self.polarity
-        saved = [polarity[lit if lit > 0 else -lit] for lit in fixed]
-        polarity[1:] = self.model[1:]
-        values = self.values
-        values[:] = [0] * len(values)
-        for lit, phase in zip(fixed, saved):
-            values[lit] = 1
-            values[-lit] = -1
-            polarity[lit if lit > 0 else -lit] = phase
         self.qhead = min(self.qhead, bound)
 
     # --- propagation ---
@@ -461,8 +440,6 @@ class CdclSolver:
                             break
                     else:
                         self.model = values[: nvars + 1]
-                        if trail_lim:
-                            self._reset_after_model()
                         return True
                     lit = v if polarity[v] > 0 else -v
                     trail_lim.append(len(trail))

@@ -17,7 +17,6 @@ from .bruteforce import generate, optimal_cost
 from .engine import (
     INFEASIBLE,
     OPTIMAL,
-    CorePool,
     SolveResult,
     hs_lb,
     hs_lub,
@@ -107,15 +106,9 @@ def _format_ub(ub: int | float) -> str:
 
 def _run_solver(args: argparse.Namespace, w: Wcsp, sink: Callable | None) -> SolveResult:
     solver = {"lb": hs_lb, "ub": hs_ub, "lub": hs_lub}[args.alg]
-    pool = CorePool()
-    try:
-        return solver(
-            w, pool=pool, time_limit=args.time_limit,
-            seed_disjoint=args.seed_disjoint, trace=sink,
-        )
-    except KeyboardInterrupt:
-        # Ctrl-C: the pool still holds certified bounds, so report them
-        return pool.result({}, False)
+    return solver(
+        w, time_limit=args.time_limit, seed_disjoint=args.seed_disjoint, trace=sink
+    )
 
 
 def cmd_solve(args: argparse.Namespace, invocation: str) -> int:

@@ -16,6 +16,8 @@ node/conflict granularity, so a time limit, or bounds that meet during
 core growth, take effect mid-search. The hitting searches take it on
 every call; the SAT side takes it once, when the solve builds its
 oracle, and its queries, core growth and seeding poll it from there.
+An interrupt (Ctrl-C, KeyboardInterrupt) ends a solve as its time limit
+does: it returns the certified bounds reached so far.
 """
 
 from __future__ import annotations
@@ -66,9 +68,10 @@ class CorePool:
     and appends a TraceEvent to events, stamped in ms on a monotonic clock
     anchored when the pool was built (a solve re-anchors it at its start),
     so events is a faithful serialization of bound history. A solve also
-    hands each event to its trace sink, under the lock and in order. Each
-    solve that returns, and the CLI's Ctrl-C handler, ends in result, which
-    detaches the sink, so the pool can be reused for a warm restart.
+    hands each event to its trace sink, under the lock and in order. Every
+    solve that returns ends in result, and every solve, one that raises
+    included, detaches its sink, so the pool can be reused for a warm
+    restart.
     """
 
     def __init__(self):
@@ -128,8 +131,8 @@ class CorePool:
             return True
 
     def result(self, iterations: dict[str, int], infeasible: bool) -> SolveResult:
-        """End a solve: apply the status rule to the bounds, detach the
-        trace sink and report, with wall time since the clock anchor.
+        """End a solve: apply the status rule to the bounds and report,
+        with wall time since the clock anchor.
 
         INFEASIBLE when the solve proved it, OPTIMAL (recording DONE) when
         lb == ub < inf, TIMEOUT otherwise; crossed bounds raise.
@@ -145,7 +148,6 @@ class CorePool:
                 self._record("DONE", optimum, "MAIN")
             else:
                 status, optimum = TIMEOUT, None
-            self._sink = None
             return SolveResult(
                 status=status,
                 optimum=optimum,
@@ -292,7 +294,11 @@ def _solve(
     trace: Callable[[TraceEvent], None] | None,
 ) -> SolveResult:
     """Anchor the pool's clock and sink at the start, run the loops until
-    they finish, halt or the SAT side aborts, and report pool.result."""
+    they finish, halt, the SAT side aborts or an interrupt stops them, and
+    report pool.result. So an interrupted solve reports the bounds it
+    proved: TIMEOUT, or OPTIMAL if they met. Any other exception
+    propagates. The sink is detached however the solve ends.
+    """
     if time_limit is not None and math.isnan(time_limit):
         raise ValueError("time_limit must be a number of seconds, got nan")
     t0 = time.monotonic()
@@ -311,18 +317,22 @@ def _solve(
     iterations: dict[str, int] = {}
     infeasible = False
     try:
-        if not halt():
-            oracle = SatOracle(w, should_stop=halt)
-            if not oracle.solve_csp().satisfiable:
-                infeasible = True
-            else:
-                if seed_disjoint:
-                    seed_disjoint_cores(w, pool, oracle)
-                iterations = dict.fromkeys(loops, 0)
-                infeasible = _run_loops(w, pool, oracle, halt, iterations)
-    except SearchAborted:
-        pass
-    return pool.result(iterations, infeasible)
+        try:
+            if not halt():
+                oracle = SatOracle(w, should_stop=halt)
+                if not oracle.solve_csp().satisfiable:
+                    infeasible = True
+                else:
+                    if seed_disjoint:
+                        seed_disjoint_cores(w, pool, oracle)
+                    iterations = dict.fromkeys(loops, 0)
+                    infeasible = _run_loops(w, pool, oracle, halt, iterations)
+        except (SearchAborted, KeyboardInterrupt):
+            pass
+        return pool.result(iterations, infeasible)
+    finally:
+        with pool._lock:
+            pool._sink = None
 
 
 def hs_lb(
@@ -362,7 +372,8 @@ def hs_lub(
     shared by seeding and both loops and one HittingProblem shared by both
     loops, so a run is deterministic. The paper runs them as two threads;
     under the interpreter lock threads cannot run in parallel, and the
-    synergy comes from the shared pool, which the round-robin keeps. deterministic is accepted for compatibility and has
-    no effect. One loop alone is hs_lb or hs_ub.
+    synergy comes from the shared pool, which the round-robin keeps.
+    deterministic is accepted for compatibility and has no effect. One
+    loop alone is hs_lb or hs_ub.
     """
     return _solve(w, ("lb", "ub"), pool, time_limit, seed_disjoint, trace)

@@ -7,10 +7,10 @@ breaks a clause. A restart base of 2 makes the Luby schedule restart after
 every few conflicts, and random 3-SAT at a clause/variable ratio of 4.2,
 near the satisfiability threshold, gives the conflicts.
 
-A SAT answer resets the whole trail at once. After it the solver must be
-back at level 0 with only its level-0 literals assigned, and every other
-variable must have saved its model value as its phase, as a backtrack one
-variable at a time would have left it.
+A SAT answer leaves solve through the same backtrack to level 0 as every
+other exit. After it the solver must be back at level 0 with only its
+level-0 literals assigned, and every other variable must have saved its
+model value as its phase.
 
 Clause-database reduction deletes the less active half of the learned
 clauses, but never a binary one or one that is the reason of a current

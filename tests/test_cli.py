@@ -253,6 +253,17 @@ def test_verify_golden_line(fig1_path, capsys):
     assert out.strip() == "w*=20, hs_lb=20, hs_ub=20, hs_lub=20, OK"
 
 
+def test_verify_reports_timed_out_solvers_as_a_mismatch(fig1_path, capsys):
+    code, out, err = run(capsys, "verify", fig1_path, "--time-limit", "0")
+    assert code == 4
+    assert out.strip() == (
+        "w*=20, hs_lb=TIMEOUT, hs_ub=TIMEOUT, hs_lub=TIMEOUT, MISMATCH"
+    )
+    assert err.strip().split("\n") == [
+        f"{name}: got TIMEOUT, expected 20" for name in ("hs_lb", "hs_ub", "hs_lub")
+    ]
+
+
 def test_verify_infeasible_instance(infeasible, tmp_path, capsys):
     path = tmp_path / "inf.wcsp"
     path.write_text(wcsp_to_text(infeasible))

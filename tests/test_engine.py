@@ -144,6 +144,47 @@ def test_a_solve_detaches_its_trace_sink(fig1):
     assert (last.kind, last.value, last.source) == ("CORE", 2, "MAIN")
 
 
+def _sink_raising_at_the_first_core(exc):
+    seen = []
+
+    def sink(event):
+        seen.append(event)
+        if (event.kind, event.value) == ("CORE", 1):
+            raise exc
+
+    return sink, seen
+
+
+@pytest.mark.parametrize("name, alg", ALGS)
+def test_ctrl_c_ends_a_library_solve_with_its_bounds(fig1, name, alg):
+    # an interrupt stops a solve as its time limit does: the certified
+    # bounds come back in a result, and the sink is detached
+    pool = CorePool()
+    sink, seen = _sink_raising_at_the_first_core(KeyboardInterrupt)
+    try:
+        r = alg(fig1, pool=pool, trace=sink)
+    except KeyboardInterrupt:
+        pytest.fail(f"Ctrl-C escaped {name} instead of ending it")
+    assert r.status == TIMEOUT and r.optimum is None
+    assert (r.lb, r.ub, r.cores_used) == (0, 25, 1)
+    assert (r.lb, r.ub, r.cores_used) == (pool.lb, pool.ub, len(pool.cores))
+    assert sum(r.iterations.values()) == 1
+    assert [(e.kind, e.value) for e in seen] == [("UB", 25), ("CORE", 1)]
+    assert pool.add_core((0, 5), "MAIN")
+    assert len(seen) == 2
+
+
+@pytest.mark.parametrize("name, alg", ALGS)
+def test_a_solve_that_raises_detaches_its_trace_sink(fig1, name, alg):
+    pool = CorePool()
+    sink, seen = _sink_raising_at_the_first_core(ValueError("sink failed"))
+    with pytest.raises(ValueError, match="sink failed"):
+        alg(fig1, pool=pool, trace=sink)
+    assert [(e.kind, e.value) for e in seen] == [("UB", 25), ("CORE", 1)]
+    assert pool.add_core((0, 5), "MAIN")
+    assert len(seen) == 2
+
+
 @pytest.mark.parametrize("name, alg", ALGS)
 def test_infeasible_instance(infeasible, name, alg):
     r = alg(infeasible)
