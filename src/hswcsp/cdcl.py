@@ -10,10 +10,11 @@ solver can be reused incrementally with different assumption sets.
 Values and watch lists are lists indexed by literal: `values[lit]` is 1
 when lit is true, -1 when it is false and 0 while its variable is
 unassigned, and `values[-v]` is the mirror of `values[v]`, kept at the
-end of the list by Python's negative indexing (new_var inserts the pair of
-slots in the middle). So reading a literal's value is one index, with no
-sign test. A variable's `reason` is only meaningful while it is assigned:
-backtracking leaves it stale, and every enqueue sets it.
+end of the list by Python's negative indexing. Free slots wait in a gap
+between the two halves, and new_var doubles the room when the gap runs
+out. So reading a literal's value is one index, with no sign test. A
+variable's `reason` is only meaningful while it is assigned: backtracking
+leaves it stale, and every enqueue sets it.
 
 solve() returns True (model available) or False (unsatisfiable under the
 given assumptions), and raises SearchAborted when its should_stop
@@ -100,9 +101,12 @@ class CdclSolver:
     def new_var(self) -> int:
         self.nvars += 1
         v = self.nvars
-        # slots v and -v: the middle of a list of length 2 * v + 1
-        self.values[v:v] = (0, 0)
-        self.watches[v:v] = ([], [])
+        if 2 * v >= len(self.values):
+            # no free pair of slots for v and -v: open a gap of 2 * v
+            # slots before the negative half, so the shift of that half
+            # costs amortized O(1) per variable
+            self.values[v:v] = [0] * (2 * v)
+            self.watches[v:v] = [[] for _ in range(2 * v)]
         self.level.append(0)
         self.reason.append(None)
         self.activity.append(0.0)

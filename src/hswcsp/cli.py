@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (OPTIMAL for solve, agreement for verify), 1 usage or
 input error, 2 solve timed out or was interrupted (Ctrl-C) before its
-bounds met, 3 instance infeasible, 4 verify found the solvers and the
-exhaustive oracle disagreeing. An interrupted solve reports the bounds
-it reached, OPTIMAL (exit 0) if they had met.
+bounds met, or verify was interrupted during a solve, 3 instance
+infeasible, 4 verify found the solvers and the exhaustive oracle
+disagreeing. An interrupted solve reports the bounds it reached, OPTIMAL
+(exit 0) if they had met.
 """
 
 from __future__ import annotations
@@ -169,17 +170,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _InputError(str(exc))
 
-    def run(solver) -> tuple[str, bool]:
+    # a solve's wall time counts from its deadline's anchor, so a TIMEOUT
+    # reported before the limit is up can only be an interrupt
+    limit_ms = INF if args.time_limit is None else args.time_limit * 1000
+    cells: dict[str, tuple[str, bool]] = {}
+    for name, solver in (("hs_lb", hs_lb), ("hs_ub", hs_ub), ("hs_lub", hs_lub)):
         result = solver(w, time_limit=args.time_limit)
         if result.status == OPTIMAL:
-            return str(result.optimum), result.optimum == w_star
-        if result.status == INFEASIBLE:
-            return INFEASIBLE, w_star is None
-        return result.status, False
+            cells[name] = str(result.optimum), result.optimum == w_star
+        elif result.status == INFEASIBLE:
+            cells[name] = INFEASIBLE, w_star is None
+        elif result.wall_ms < limit_ms:
+            print(f"hswcsp: verify interrupted during {name}", file=sys.stderr)
+            return _EXIT_TIMEOUT
+        else:
+            cells[name] = result.status, False
 
     expected = INFEASIBLE if w_star is None else str(w_star)
-    cells = {name: run(solver) for name, solver in
-             (("hs_lb", hs_lb), ("hs_ub", hs_ub), ("hs_lub", hs_lub))}
     ok = all(agree for _, agree in cells.values())
     summary = ", ".join(f"{name}={text}" for name, (text, _) in cells.items())
     print(f"w*={expected}, {summary}, {'OK' if ok else 'MISMATCH'}")

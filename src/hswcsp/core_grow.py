@@ -5,8 +5,9 @@ UNSAT. Growth probes one single-level raise at a time, in repeated passes
 over the components, cheapest next increment first, until a full pass
 changes nothing. Every SAT probe met on the way is a solution vector, so
 its cost goes to the caller's offer_ub callback as an upper-bound
-candidate, witness attached; the engine passes one that offers it to the
-core pool, which keeps it only if it improves the bound. That holds for
+candidate, witness attached. The engine's loops offer that cost to the
+core pool, which keeps it only if it improves the bound; seeding offers
+the witness's evaluated total instead. That holds for
 the first probe too, of the start vector itself: a start vector that is
 not a core is offered and growth returns None, so a caller needs no
 query of its own to tell a solution from a core.
@@ -18,18 +19,15 @@ implication and is applied without calling the oracle. Skipping such a
 probe changes nothing but the work done, because the skipped answer is
 the one the oracle would have given.
 
-With recall=True, a probe that this bound does not settle is first
-looked up in the oracle's memory of the verdicts of every earlier query
-on it (`SatOracle.recall`), and reaches the backend only when no
-remembered solution fits under it and no remembered core dominates it.
-The answers are the same, so the raises, the grown core and the offered
-values are too. What changes is the work, and with it the models: a
-remembered witness stands in for a fresh one, and fewer queries leave
-the solver in another state. The loops' growth recalls, because its
-offers are probe vector costs, which depend only on SAT/UNSAT answers.
-Seeding does not: `seed_disjoint_cores` offers the evaluated total of
-its last SAT query's witness, which depends on the model the solver
-returns, so recall in its growth would change the bound it offers.
+A probe that this bound does not settle is first looked up in the
+oracle's memory of the verdicts of every earlier query on it
+(`SatOracle.recall`), and reaches the backend only when no remembered
+solution fits under it and no remembered core dominates it. A raise is
+applied exactly when the raised vector is UNSAT, however that answer is
+obtained, so the memory changes neither the raises nor the grown core.
+What it changes is the work, and the witnesses: a remembered witness
+stands in for a fresh one, so a caller that evaluates the witnesses it
+is offered may see other totals.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ def maximal_core(
     oracle: SatOracle,
     h: Sequence[int],
     offer_ub: Callable[[int, tuple[int, ...]], object] | None = None,
-    recall: bool = False,
 ) -> tuple[int, ...] | None:
     """Grow the core h until every single-component raise is satisfiable.
 
@@ -64,8 +61,8 @@ def maximal_core(
 
     Every SAT probe calls offer_ub(vector cost, witness) in probe order.
     A raise that the last UNSAT verdict's core dominates is applied
-    without a probe. With recall, a probe that the oracle's remembered
-    verdicts settle is answered from them instead of the backend.
+    without a probe, and a probe that the oracle's remembered verdicts
+    settle is answered from them instead of the backend.
     The oracle's `should_stop` is polled before each raise and by every
     backend call; a True answer raises SearchAborted.
     """
@@ -74,10 +71,7 @@ def maximal_core(
     should_stop = oracle.should_stop
 
     def ask(vector: list[int]) -> OracleVerdict:
-        verdict = oracle.recall(vector) if recall else None
-        if verdict is None:
-            verdict = oracle.solve_under_vector(vector)
-        return verdict
+        return oracle.recall(vector) or oracle.solve_under_vector(vector)
 
     v = list(h)
     idx = w.level_indices(v)  # checks that h is a vector of levels

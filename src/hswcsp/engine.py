@@ -189,10 +189,13 @@ def seed_disjoint_cores(w: Wcsp, pool: CorePool, oracle: SatOracle) -> int:
     pairwise disjoint, then raise lb by their additive increments.
 
     Probe loop: components already marked used sit at their maximum level,
-    everything else at its minimum. A SAT probe ends seeding (its witness
-    total is offered as an upper bound); an UNSAT probe is grown into a
-    maximal core, pooled, and every component of it still below maximum is
-    marked used, so later probes can only blame fresh components.
+    everything else at its minimum. Each probe goes straight to core
+    growth, whose first query tells a solution from a core: a SAT probe
+    ends seeding; an UNSAT probe is grown into a maximal core, pooled, and
+    every component of it still below maximum is marked used, so later
+    probes can only blame fresh components. Every SAT answer growth meets,
+    the ending probe's included, offers its witness's evaluated total as
+    an upper bound.
 
     Because the below-maximum sets are disjoint, any vector hitting all
     seeded cores pays, per core, at least the cheapest next-level increment
@@ -206,15 +209,16 @@ def seed_disjoint_cores(w: Wcsp, pool: CorePool, oracle: SatOracle) -> int:
     mins, maxs = w.min_vector(), w.max_vector()
     used: set[int] = set()
     added: list[tuple[int, ...]] = []
-    offer_ub = partial(pool.offer_ub, source="SEED")
+
+    def offer(_: int, witness: tuple[int, ...]) -> None:
+        pool.offer_ub(w.evaluate(witness).total, witness, "SEED")
+
     try:
         while True:
             probe = tuple(maxs[i] if i in used else mins[i] for i in range(w.m))
-            verdict = oracle.solve_under_vector(probe)
-            if verdict.satisfiable:
-                pool.offer_ub(w.evaluate(verdict.witness).total, verdict.witness, "SEED")
+            grown = maximal_core(oracle, probe, offer)
+            if grown is None:
                 break
-            grown = maximal_core(oracle, probe, offer_ub)
             pool.add_core(grown, "SEED")
             added.append(grown)
             fresh = {i for i in range(w.m) if grown[i] < maxs[i]} - used
@@ -280,7 +284,7 @@ def _run_loops(
                 return False
             iterations[name] += 1
             offer_ub = partial(pool.offer_ub, source=source)
-            grown = maximal_core(oracle, h, offer_ub, recall=True)
+            grown = maximal_core(oracle, h, offer_ub)
             if grown is not None:
                 pool.add_core(grown, source)
 

@@ -17,12 +17,18 @@ clauses, but never a binary one or one that is the reason of a current
 assignment (locked). A solver whose learned-clause limit starts at 1
 reduces at nearly every decision once it has learned a few clauses, and
 its answers must still match a fresh solver's.
+
+Each literal has its own value slot and watch list, positive literals at
+the front of the lists and negative ones at the back; new_var takes the
+next pair from a gap between the halves and doubles the gap when it runs
+out. Variables added across those doublings, between solves too, must
+each get two fresh slots.
 """
 
 import random
 
 from hswcsp.cdcl import CdclSolver
-from oracles import load
+from oracles import NaiveSolver, load
 
 
 def _satisfies(model, clauses):
@@ -145,3 +151,41 @@ def test_a_tautology_is_not_stored():
     solver = load(CdclSolver(), 2, [[1, 2]])
     assert solver.add_clause([2, 1, -2])
     assert len(solver.clauses) == 1 and solver.ok
+
+
+def test_variables_added_across_gap_doublings_get_fresh_slots():
+    rng = random.Random(7303)
+    solver = CdclSolver()
+    clauses = []
+    nvars = 0
+    # the gap doubles at 1, 2, 4, 8, 16, 32 and 64 variables
+    for size in (1, 2, 3, 5, 8, 9, 16, 17, 31, 33, 64, 65):
+        while nvars < size:
+            nvars += 1
+            assert solver.new_var() == nvars
+            assert solver.values[nvars] == solver.values[-nvars] == 0
+        lits = [lit for v in range(1, nvars + 1) for lit in (v, -v)]
+        assert len({id(solver.watches[lit]) for lit in lits}) == 2 * nvars
+        for _ in range(4 * (size - len(clauses) // 4)):
+            vs = rng.sample(range(1, nvars + 1), min(3, nvars))
+            clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+            solver.add_clause(clauses[-1])
+        for _ in range(3):
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, nvars + 1), min(nvars, rng.randint(0, 4)))
+            ]
+            answer = solver.solve(assumptions)
+            assert answer == load(NaiveSolver(), nvars, clauses).solve(assumptions)
+            if answer:
+                assert len(solver.model) == nvars + 1
+                assert all(solver.model[v] != 0 for v in range(1, nvars + 1))
+                assert _satisfies(solver.model, clauses)
+            # level 0: each fixed literal is true, its negation false
+            assert all(solver.values[lit] == 1 == -solver.values[-lit]
+                       for lit in solver.trail)
+        stored = solver.clauses + solver.learned
+        assert all(
+            c in solver.watches[c.lits[0]] and c in solver.watches[c.lits[1]]
+            for c in stored if len(c.lits) > 1
+        )

@@ -264,6 +264,26 @@ def test_verify_reports_timed_out_solvers_as_a_mismatch(fig1_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("limit", [(), ("--time-limit", "60")])
+def test_verify_stops_at_an_interrupted_solver(fig1_path, capsys, monkeypatch, limit):
+    # Ctrl-C in hs_lb's first growth: its TIMEOUT comes before any time
+    # limit is up, so verify reports the interrupt and runs nothing more
+    calls = 0
+
+    def interrupted_on_first_call(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 1:
+            raise KeyboardInterrupt
+        return maximal_core(*args, **kwargs)
+
+    monkeypatch.setattr("hswcsp.engine.maximal_core", interrupted_on_first_call)
+    code, out, err = run(capsys, "verify", fig1_path, *limit)
+    assert code == 2 and out == ""
+    assert err == "hswcsp: verify interrupted during hs_lb\n"
+    assert calls == 1
+
+
 def test_verify_infeasible_instance(infeasible, tmp_path, capsys):
     path = tmp_path / "inf.wcsp"
     path.write_text(wcsp_to_text(infeasible))

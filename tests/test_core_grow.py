@@ -126,13 +126,21 @@ class _Counting(SatOracle):
         return super().solve_under_vector(v)
 
 
+class _Forgetful(_Counting):
+    """An oracle whose verdict memory never answers, so growth asks its
+    backend about every probe that its last core does not settle."""
+
+    def recall(self, v):
+        return None
+
+
 def test_skipped_probes_do_not_change_growth(corpus):
     """The naive backend blames every assumption, so growth over it without
-    recall probes every raise. CDCL growth skips the raises its cores
-    imply, and with recall also the probes its oracle's remembered
-    verdicts settle, from every earlier growth on the instance. All must
-    grow every start core into the same maximal core, with the same
-    offers; recall must not add oracle calls."""
+    a verdict memory probes every raise. CDCL growth skips the raises its
+    cores imply, and with the memory also the probes its oracle's
+    remembered verdicts settle, from every earlier growth on the instance.
+    All must grow every start core into the same maximal core, with the
+    same offers; recall must not add oracle calls."""
     rng = random.Random(7)
     hard = [
         generate(seed=s, num_vars=5, max_dom=3, num_funcs=6, cost_range=5,
@@ -158,7 +166,7 @@ def test_skipped_probes_do_not_change_growth(corpus):
                 ("cdcl+recall", CdclSolver, True),
                 ("naive", NaiveSolver, False),
             ):
-                oracle = recalling if recall else _Counting(w, backend)
+                oracle = recalling if recall else _Forgetful(w, backend)
                 before = oracle.calls
                 offers = []
 
@@ -167,7 +175,7 @@ def test_skipped_probes_do_not_change_growth(corpus):
                     assert ev.feasible and ev.total <= value
                     offers.append(value)
 
-                core = maximal_core(oracle, start, offer, recall=recall)
+                core = maximal_core(oracle, start, offer)
                 runs[name] = (core, offers, oracle.calls - before)
             core, offers, naive_calls = runs.pop("naive")
             for other_core, other_offers, other_calls in runs.values():

@@ -357,9 +357,8 @@ def test_seeded_solve_needs_no_iterations(fig1):
     assert r.status == OPTIMAL and r.optimum == 20
     assert r.iterations == {"lb": 0}
     assert shape(r) == [
-        ("UB", 25, "SEED"),
-        ("CORE", 1, "SEED"),
         ("UB", 20, "SEED"),
+        ("CORE", 1, "SEED"),
         ("LB", 20, "SEED"),
         ("DONE", 20, "MAIN"),
     ]
@@ -369,15 +368,13 @@ def test_seeded_two_blocks_trace(two_blocks):
     r = hs_lb(two_blocks, seed_disjoint=True)
     assert r.status == OPTIMAL and r.optimum == 8
     assert shape(r) == [
-        ("UB", 12, "SEED"),
+        ("UB", 8, "SEED"),
         ("CORE", 1, "SEED"),
         ("CORE", 2, "SEED"),
-        ("UB", 10, "SEED"),
         ("LB", 8, "SEED"),
-        ("UB", 8, "LB_WORKER"),
         ("DONE", 8, "MAIN"),
     ]
-    assert r.iterations == {"lb": 1}
+    assert r.iterations == {"lb": 0}
     assert r.cores_used == 2
 
 
@@ -422,36 +419,20 @@ def test_seeding_stopped_early_keeps_its_bump():
     assert (last.kind, last.value, last.source) == ("LB", bump, "SEED")
 
 
-def test_only_the_workers_growth_recalls(monkeypatch):
-    """Seeding's offers depend on the models the solver returns, so its
-    growth must not consult the oracle's memory; the loops' growth
-    does."""
-    w = generate(seed=4, num_vars=16, max_dom=3, num_funcs=20, cost_range=2,
-                 hard_density=0.2)
-    seeding = False
-    recalls = 0
-    recall = SatOracle.recall
-    seed = engine_mod.seed_disjoint_cores
+def test_seeding_asks_each_probe_once(fig1, monkeypatch):
+    """Seeding hands each probe to core growth, whose first query tells a
+    solution from a core, so no probe is asked twice in a row."""
+    asked = []
+    solve = SatOracle.solve_under_vector
 
-    def counting_recall(self, v):
-        nonlocal recalls
-        assert not seeding, "seeding consulted the verdict memory"
-        recalls += 1
-        return recall(self, v)
+    def logged(self, v):
+        asked.append(tuple(v))
+        return solve(self, v)
 
-    def flagged_seed(*args, **kwargs):
-        nonlocal seeding
-        seeding = True
-        try:
-            return seed(*args, **kwargs)
-        finally:
-            seeding = False
-
-    monkeypatch.setattr(SatOracle, "recall", counting_recall)
-    monkeypatch.setattr(engine_mod, "seed_disjoint_cores", flagged_seed)
-    r = hs_lub(w, seed_disjoint=True)
-    assert r.status == OPTIMAL
-    assert recalls > 0
+    monkeypatch.setattr(SatOracle, "solve_under_vector", logged)
+    assert seed_disjoint_cores(fig1, CorePool(), SatOracle(fig1)) == 1
+    assert asked[0] == fig1.min_vector()
+    assert all(a != b for a, b in zip(asked, asked[1:]))
 
 
 def test_seeded_hs_ub_raises_lb_only_through_seeding(two_blocks):

@@ -35,9 +35,13 @@ To re-pin, run this file as a script from the repository root:
 
 It solves every pinned case once and prints PINNED, NODES, CDCL_CALLS and
 SAT_TRANSCRIPTS in this file's format, ready to paste over the tables
-below.
+below. With --moved it prints instead one line per pin whose measured
+value differs from its table below, and nothing else:
+
+    python3 tests/test_trace_pins.py --moved
 """
 
+import argparse
 import functools
 import hashlib
 import pathlib
@@ -75,12 +79,12 @@ PINNED = [
     ("hard", "hs_lb", 6, "ef70ea75ecd5631e"),
     ("hard", "hs_ub", 6, "37a53b733b08e7e0"),
     ("hard", "hs_lub_det", 6, "a7bc95f5fc8149b2"),
-    ("soft", "hs_lb+seed", 29, "517fbb14533b33a1"),
-    ("soft", "hs_ub+seed", 29, "526021fbd074c9da"),
-    ("soft", "hs_lub_det+seed", 29, "de1ae3b297c4e5e0"),
-    ("hard", "hs_lb+seed", 6, "12b4d7c4c2a667f0"),
-    ("hard", "hs_ub+seed", 6, "66ed51a9ec7624e0"),
-    ("hard", "hs_lub_det+seed", 6, "b6312e27e02483da"),
+    ("soft", "hs_lb+seed", 29, "a8866975937d356e"),
+    ("soft", "hs_ub+seed", 29, "d2e9603430bec587"),
+    ("soft", "hs_lub_det+seed", 29, "a249e7c4058820f3"),
+    ("hard", "hs_lb+seed", 6, "62e9456ca732f3dd"),
+    ("hard", "hs_ub+seed", 6, "c1c63b48f064c9db"),
+    ("hard", "hs_lub_det+seed", 6, "7c1811342954b2f1"),
 ]
 
 
@@ -169,12 +173,12 @@ CDCL_CALLS = {
     ("hard", "hs_lb"): 108,
     ("hard", "hs_ub"): 72,
     ("hard", "hs_lub_det"): 92,
-    ("soft", "hs_lb+seed"): 65,
-    ("soft", "hs_ub+seed"): 60,
-    ("soft", "hs_lub_det+seed"): 68,
-    ("hard", "hs_lb+seed"): 102,
-    ("hard", "hs_ub+seed"): 74,
-    ("hard", "hs_lub_det+seed"): 83,
+    ("soft", "hs_lb+seed"): 46,
+    ("soft", "hs_ub+seed"): 41,
+    ("soft", "hs_lub_det+seed"): 49,
+    ("hard", "hs_lb+seed"): 95,
+    ("hard", "hs_ub+seed"): 68,
+    ("hard", "hs_lub_det+seed"): 76,
 }
 
 
@@ -192,12 +196,12 @@ SAT_TRANSCRIPTS = {
     ("hard", "hs_lb"): "f8275fbb01095bb0",
     ("hard", "hs_ub"): "6491ec917b3508f3",
     ("hard", "hs_lub_det"): "85c85bb92c58074a",
-    ("soft", "hs_lb+seed"): "4704787ef1c926d5",
-    ("soft", "hs_ub+seed"): "67d85d4c8952cebf",
-    ("soft", "hs_lub_det+seed"): "25e749b3f3856952",
-    ("hard", "hs_lb+seed"): "f9a55f8a91b0d911",
-    ("hard", "hs_ub+seed"): "45f75f43b6fd9d65",
-    ("hard", "hs_lub_det+seed"): "2124412a553cca4f",
+    ("soft", "hs_lb+seed"): "c9824cf5f0b43236",
+    ("soft", "hs_ub+seed"): "a8af14db6e7b5372",
+    ("soft", "hs_lub_det+seed"): "69369655e1a95f22",
+    ("hard", "hs_lb+seed"): "fee93674f5a758a8",
+    ("hard", "hs_ub+seed"): "d825636e4692b349",
+    ("hard", "hs_lub_det+seed"): "6c37a80463063d8a",
 }
 
 
@@ -208,28 +212,74 @@ def test_sat_transcript_pinned(instance, strategy):
     assert digest == SAT_TRANSCRIPTS[instance, strategy]
 
 
+def measured_pins() -> dict[str, dict]:
+    """Every pin table as measured on this tree, keyed by (instance,
+    strategy); a PINNED value is its (optimum, digest) pair."""
+    tables = {name: {} for name in ("PINNED", "NODES", "CDCL_CALLS", "SAT_TRANSCRIPTS")}
+    for instance, strategy, _, _ in PINNED:
+        key = instance, strategy
+        r, nodes, calls, transcript = measured_solve(*key)
+        if r.status != OPTIMAL:
+            raise SystemExit(f"{instance} {strategy}: status {r.status}, not OPTIMAL")
+        tables["PINNED"][key] = r.optimum, trace_digest(r)
+        tables["NODES"][key] = nodes
+        tables["CDCL_CALLS"][key] = calls
+        tables["SAT_TRANSCRIPTS"][key] = transcript
+    return tables
+
+
 def print_pins() -> None:
     """Print PINNED, NODES, CDCL_CALLS and SAT_TRANSCRIPTS as measured on
     this tree."""
-    rows, nodes, calls, transcripts = [], {}, {}, {}
-    for instance, strategy, _, _ in PINNED:
-        key = instance, strategy
-        r, nodes[key], calls[key], transcripts[key] = measured_solve(*key)
-        if r.status != OPTIMAL:
-            raise SystemExit(f"{instance} {strategy}: status {r.status}, not OPTIMAL")
-        rows.append((instance, strategy, r.optimum, trace_digest(r)))
+    tables = measured_pins()
     print("PINNED = [")
-    for row in rows:
-        print(f"    {row!r},".replace("'", '"'))
+    for (instance, strategy), (optimum, digest) in tables.pop("PINNED").items():
+        print(f"    {(instance, strategy, optimum, digest)!r},".replace("'", '"'))
     print("]")
-    for name, table in (
-        ("NODES", nodes), ("CDCL_CALLS", calls), ("SAT_TRANSCRIPTS", transcripts)
-    ):
+    for name, table in tables.items():
         print(f"\n{name} = {{")
         for key, value in table.items():
             print(f"    {key!r}: {value!r},".replace("'", '"'))
         print("}")
 
 
+def print_moved() -> None:
+    """Print one line per pin whose measured value differs from its table
+    in this file, e.g. `CDCL_CALLS hard hs_lb+seed: 102 -> 95`."""
+    pinned = {
+        "PINNED": {(i, s): (optimum, digest) for i, s, optimum, digest in PINNED},
+        "NODES": NODES,
+        "CDCL_CALLS": CDCL_CALLS,
+        "SAT_TRANSCRIPTS": SAT_TRANSCRIPTS,
+    }
+
+    def show(value) -> str:
+        return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+    for name, table in measured_pins().items():
+        for key, value in table.items():
+            old = pinned[name][key]
+            if value != old:
+                print(f"{name} {' '.join(key)}: {show(old)} -> {show(value)}")
+
+
+def test_moved_lists_only_the_pins_that_differ(monkeypatch, capsys):
+    print_moved()
+    assert capsys.readouterr().out == ""
+    key = "hard", "hs_lb+seed"
+    calls = CDCL_CALLS[key]
+    monkeypatch.setitem(CDCL_CALLS, key, calls + 7)
+    print_moved()
+    assert capsys.readouterr().out == (
+        f"CDCL_CALLS hard hs_lb+seed: {calls + 7} -> {calls}\n"
+    )
+
+
 if __name__ == "__main__":
-    print_pins()
+    parser = argparse.ArgumentParser(description="Print the pin tables as measured.")
+    parser.add_argument("--moved", action="store_true",
+                        help="print only the pins that differ from this file's tables")
+    if parser.parse_args().moved:
+        print_moved()
+    else:
+        print_pins()
