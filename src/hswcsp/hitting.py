@@ -4,9 +4,10 @@ A vector hits the pool when no core dominates it, i.e. for every core it is
 strictly above the core in at least one component. Both searches,
 min_cost_hitting_vector and cost_bounded_hitting_vector, return a hitter
 or None, and None means that nothing hits the pool below the search's
-bound; with an unbounded budget, that nothing hits the pool at all. A
-pool holding a core at every maximum level is the one pool that nothing
-hits, and `HittingProblem.saturated` answers that in O(1). Both run one
+bound; with an unbounded budget, that nothing hits the pool at all. That
+happens exactly when the pool holds a core at every maximum level, which
+has no raise option: the search branches on it first and finds no child,
+so it needs no separate check. Both run one
 branch-and-bound search, which returns the first hitter it reaches below
 a fixed budget. It works in level-index space: raising component i above
 a core's level only ever targets the next level up, and siblings in the
@@ -73,7 +74,7 @@ class HittingProblem:
     Alongside each core the problem keeps what the search reads:
     `core_steps`, one (i, t, level value, 1 << i) per component i that can
     still be raised above the core, where t is the level index just above
-    it (no steps means nothing hits the core, and sets `saturated`);
+    it (no steps means nothing hits the core);
     `core_untouched`, the core's search entry (-cheapest increment, count,
     core index, component mask) of its raise options from the lowest
     levels with no cap; and the masks `below[i][t]`, whose bit ci is set
@@ -106,7 +107,6 @@ class HittingProblem:
         self.core_steps: list[tuple[tuple[int, int, int, int], ...]] = []
         self.core_untouched: list[tuple[int, int, int, int]] = []
         self.below = [[0] * len(ls) for ls in self.levels]
-        self.saturated = False
         self.floor = self.min_cost()
         self.add_cores(pool)
 
@@ -135,7 +135,6 @@ class HittingProblem:
                 ci,
                 sum(1 << i for i in up),
             ))
-            self.saturated = self.saturated or not up
 
     def _encode(self, core: Sequence[int]) -> tuple[int, ...]:
         core = tuple(core)
@@ -411,8 +410,6 @@ def min_cost_hitting_vector(
     witness of the lex-min pass, which returns the unique lex-min hitter
     whichever optimal witness it starts from.
     """
-    if p.saturated:
-        return None
     while p.floor < prune_at:
         found, least = _branch_and_bound(p, p.floor + 1, should_stop)
         if found is not None:
@@ -432,7 +429,5 @@ def cost_bounded_hitting_vector(
     the first feasible leaf. With ub = inf, None means that nothing hits
     the pool.
     """
-    if p.saturated:
-        return None
     found = _branch_and_bound(p, ub, should_stop)[0]
     return None if found is None else p.vector_at(found)

@@ -25,12 +25,15 @@ without the backend. The memory is two families of bitsets indexed like
 function i, and bit k of `under[i][t]` when remembered core k is at least
 levels[t] there. The AND over i of the masks at v's level indices is the
 set of verdicts that settle v; the lowest set bit answers, so the answer
-is deterministic. Each distinct solution cost vector and each distinct
-core is remembered once. `solve_under_vector` records and never recalls:
-it always asks the backend, so its calls and the backend's match one to
-one. Both check their vector in the one pass that maps it to level indices
-(`Wcsp.level_indices`), which also serves the query: the selector slices
-of `assumptions_for`, or the memory's masks.
+is deterministic. `solve_under_vector` records every verdict and never
+recalls: it always asks the backend, so its calls and the backend's
+match one to one. In a solve it runs only after `recall(v)` missed, so
+its verdict is new: a SAT answer's cost vector fits under v and an UNSAT
+answer's core dominates v, which no remembered verdict does. A caller
+that asks one vector twice records it twice; recall answers from the
+earlier record. Both check their vector in the one pass that maps it to
+level indices (`Wcsp.level_indices`), which also serves the query: the
+selector slices of `assumptions_for`, or the memory's masks.
 
 The oracle holds the one stop predicate of the SAT side, `should_stop`,
 given once when it is built, as an IPASIR solver's terminate callback
@@ -222,8 +225,6 @@ class SatOracle:
         ]
         self.solutions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self.cores: list[tuple[int, ...]] = []
-        # solution cost vectors and cores remembered; no vector is both
-        self._seen: set[tuple[int, ...]] = set()
 
     def _run(self, assumptions: list[int]) -> OracleVerdict:
         if not self.solver.solve(assumptions, should_stop=self.should_stop):
@@ -255,9 +256,6 @@ class SatOracle:
     def _remember_solution(
         self, witness: tuple[int, ...], cost: tuple[int, ...]
     ) -> None:
-        if cost in self._seen:
-            return
-        self._seen.add(cost)
         bit = 1 << len(self.solutions)
         self.solutions.append((witness, cost))
         for row, first in zip(self.fits, self.w.level_indices(cost)):
@@ -265,9 +263,6 @@ class SatOracle:
                 row[t] |= bit
 
     def _remember_core(self, core: tuple[int, ...]) -> None:
-        if core in self._seen:
-            return
-        self._seen.add(core)
         bit = 1 << len(self.cores)
         self.cores.append(core)
         for row, last in zip(self.under, self.w.level_indices(core)):

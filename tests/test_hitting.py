@@ -38,12 +38,10 @@ def test_problem_keeps_duplicates_and_dominated_cores():
 def test_problem_keeps_incomparable_cores_in_order():
     p = HittingProblem(FIG1_LEVELS, [(5, 0), (0, 20)])
     assert [p.vector_at(k) for k in p.cores] == [(5, 0), (0, 20)]
-    assert not p.saturated
     assert p.min_cost() == 0
 
 
-def test_problem_saturation_flag():
-    assert HittingProblem(FIG1_LEVELS, [(20, 20)]).saturated
+def test_problem_core_steps():
     # only component 1 can rise above (20, 5): to level index 2, cost 20
     assert HittingProblem(FIG1_LEVELS, [(20, 5)]).core_steps == [((1, 2, 20, 2),)]
 
@@ -95,6 +93,15 @@ def test_min_cost_vector_saturated_pool():
     p = HittingProblem(FIG1_LEVELS, [(20, 20)])
     assert min_cost_hitting_vector(p) is None
     assert min_cost_hitting_vector(p, prune_at=25) is None
+    # a core at every maximum level among others: the search refutes the
+    # pool at any budget, and the refuted try proves an infinite floor
+    pool = [(5, 0), (20, 20), (0, 5)]
+    p = HittingProblem(FIG1_LEVELS, pool)
+    assert min_cost_hitting_vector(p) is None
+    assert p.floor == math.inf
+    assert min_cost_hitting_vector(p, prune_at=25) is None
+    assert cost_bounded_hitting_vector(p, math.inf) is None
+    assert cost_bounded_hitting_vector(p, 25) is None
 
 
 def test_cost_bounded_vector():
@@ -260,7 +267,6 @@ def test_add_cores_matches_fresh_build():
             assert grown.core_steps == whole.core_steps
             assert grown.core_untouched == whole.core_untouched
             assert grown.below == whole.below
-            assert grown.saturated == whole.saturated
 
 
 def test_add_cores_validates_before_inserting():

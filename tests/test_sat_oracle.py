@@ -23,10 +23,12 @@ from hswcsp import (
     optimal_cost,
     seed_disjoint_cores,
 )
+import hswcsp.engine as engine
 from hswcsp.cdcl import CdclSolver
 from hswcsp.model import CostFunction
 from hswcsp.sat_oracle import OracleVerdict
 from oracles import NaiveSolver, leq, vector_is_solution
+from test_trace_pins import INSTANCES
 
 BACKENDS = (CdclSolver, NaiveSolver)
 each_backend = pytest.mark.parametrize("backend", BACKENDS, ids=("cdcl", "naive"))
@@ -248,12 +250,36 @@ def test_recall_agrees_with_a_fresh_oracle():
                     assert not SatOracle(w).solve_under_vector(verdict.core).satisfiable
             if rng.random() < 0.5:
                 oracle.solve_under_vector(v)
-        # each distinct solution cost vector and core is remembered once
-        costs = [cost for _, cost in oracle.solutions]
-        assert len(set(costs)) == len(costs)
-        assert len(set(oracle.cores)) == len(oracle.cores)
-        assert not set(costs) & set(oracle.cores)
     assert sat >= 300 and unsat >= 100 and answered >= 600
+
+
+def test_a_solve_records_each_verdict_once(corpus, monkeypatch):
+    """Growth asks the backend only after recall missed, so no verdict a
+    solve records is already remembered: every solution cost vector and
+    every core its oracle holds is distinct."""
+    built = []
+
+    class Collecting(SatOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(engine, "SatOracle", Collecting)
+    instances = [w for w, _ in corpus[:60]]
+    instances += [generate(**kwargs) for kwargs in INSTANCES.values()]
+    solves = 0
+    for w in instances:
+        for strategy in (hs_lb, hs_ub, hs_lub):
+            for seed in (False, True):
+                built.clear()
+                assert strategy(w, seed_disjoint=seed).status == OPTIMAL
+                (oracle,) = built
+                case = w.name, strategy.__name__, seed
+                costs = [cost for _, cost in oracle.solutions]
+                assert len(set(costs)) == len(costs), case
+                assert len(set(oracle.cores)) == len(oracle.cores), case
+                solves += 1
+    assert solves == 372
 
 
 def test_recall_masks_match_their_definition():

@@ -36,7 +36,8 @@ To re-pin, run this file as a script from the repository root:
 It solves every pinned case once and prints PINNED, NODES, CDCL_CALLS and
 SAT_TRANSCRIPTS in this file's format, ready to paste over the tables
 below. With --moved it prints instead one line per pin whose measured
-value differs from its table below, and nothing else:
+value differs from its table below, and nothing else, and exits 1 if it
+printed any and 0 otherwise:
 
     python3 tests/test_trace_pins.py --moved
 """
@@ -96,7 +97,12 @@ def trace_digest(result) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("instance, strategy, optimum, digest", PINNED)
+# ids name the case only, so a re-pin keeps the test ids
+@pytest.mark.parametrize(
+    "instance, strategy, optimum, digest",
+    PINNED,
+    ids=[f"{instance}-{strategy}" for instance, strategy, _, _ in PINNED],
+)
 def test_trace_digest_pinned(instance, strategy, optimum, digest):
     r = STRATEGIES[strategy](generate(**INSTANCES[instance]))
     assert r.status == OPTIMAL and r.optimum == optimum
@@ -243,9 +249,10 @@ def print_pins() -> None:
         print("}")
 
 
-def print_moved() -> None:
+def print_moved() -> list[str]:
     """Print one line per pin whose measured value differs from its table
-    in this file, e.g. `CDCL_CALLS hard hs_lb+seed: 102 -> 95`."""
+    in this file, e.g. `CDCL_CALLS hard hs_lb+seed: 102 -> 95`, and return
+    the lines printed."""
     pinned = {
         "PINNED": {(i, s): (optimum, digest) for i, s, optimum, digest in PINNED},
         "NODES": NODES,
@@ -256,23 +263,26 @@ def print_moved() -> None:
     def show(value) -> str:
         return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
-    for name, table in measured_pins().items():
-        for key, value in table.items():
-            old = pinned[name][key]
-            if value != old:
-                print(f"{name} {' '.join(key)}: {show(old)} -> {show(value)}")
+    moved = [
+        f"{name} {' '.join(key)}: {show(pinned[name][key])} -> {show(value)}"
+        for name, table in measured_pins().items()
+        for key, value in table.items()
+        if value != pinned[name][key]
+    ]
+    for line in moved:
+        print(line)
+    return moved
 
 
 def test_moved_lists_only_the_pins_that_differ(monkeypatch, capsys):
-    print_moved()
+    assert print_moved() == []
     assert capsys.readouterr().out == ""
     key = "hard", "hs_lb+seed"
     calls = CDCL_CALLS[key]
     monkeypatch.setitem(CDCL_CALLS, key, calls + 7)
-    print_moved()
-    assert capsys.readouterr().out == (
-        f"CDCL_CALLS hard hs_lb+seed: {calls + 7} -> {calls}\n"
-    )
+    line = f"CDCL_CALLS hard hs_lb+seed: {calls + 7} -> {calls}"
+    assert print_moved() == [line]
+    assert capsys.readouterr().out == line + "\n"
 
 
 if __name__ == "__main__":
@@ -280,6 +290,6 @@ if __name__ == "__main__":
     parser.add_argument("--moved", action="store_true",
                         help="print only the pins that differ from this file's tables")
     if parser.parse_args().moved:
-        print_moved()
+        sys.exit(1 if print_moved() else 0)
     else:
         print_pins()
