@@ -16,6 +16,18 @@ out. So reading a literal's value is one index, with no sign test. A
 variable's `reason` is only meaningful while it is assigned: backtracking
 leaves it stale, and every enqueue sets it.
 
+A decision takes the free variable of highest activity, the lowest
+variable among equals, in its saved phase. Until a call's first conflict
+nothing bumps an activity or unassigns a variable, so solve reads its
+decisions from the variables sorted once in that order. At the first
+conflict, before analysis bumps anything, the unread rest becomes the
+decision heap of (-activity, variable) pairs (a sorted list is a valid
+heap), which conflict analysis and backtracking push onto from then on.
+Between two conflicts the trail only grows, so the restart and
+learned-clause limits, once found unreached, stay unreached until the
+next conflict, restart or reduction; solve tests them after each of
+those, not at every level.
+
 solve() returns True (model available) or False (unsatisfiable under the
 given assumptions), and raises SearchAborted when its should_stop
 predicate fires at a conflict. However it ends, a raise included, it
@@ -36,8 +48,7 @@ added mid-search (from a should_stop callback) is a RuntimeError.
 
 from __future__ import annotations
 
-from heapq import heapify, heappush, heappop
-from operator import neg
+from heapq import heappush, heappop
 from typing import Callable, Iterable, Sequence
 
 from .model import SearchAborted
@@ -164,7 +175,7 @@ class CdclSolver:
         """Undo every level above target, saving each unassigned variable's
         value as its phase. Unassigned variables go back on the decision
         heap unless requeue is False, which every exit from solve passes:
-        the next solve builds a fresh heap."""
+        the next solve starts from a fresh sorted list."""
         trail_lim = self.trail_lim
         if len(trail_lim) <= target:
             return  # keep qhead: level-0 enqueues may still await propagation
@@ -203,11 +214,11 @@ class CdclSolver:
             false_lit = -trail[qhead]
             qhead += 1
             ws = watches[false_lit]
-            i = j = 0
-            n = len(ws)
-            while i < n:
-                c = ws[i]
-                i += 1
+            if not ws:
+                continue
+            # one pass: a clause that stays watched here moves down to j
+            j = 0
+            for i, c in enumerate(ws):
                 lits = c.lits
                 first = lits[0]
                 if first == false_lit:
@@ -226,12 +237,13 @@ class CdclSolver:
                         watches[lk].append(c)
                         break
                 else:
-                    ws[j] = c
-                    j += 1
                     if v0 == -1:
+                        # c at ws[i] and every entry after it stay
                         del ws[j:i]
                         self.qhead = qhead
                         return c
+                    ws[j] = c
+                    j += 1
                     # unit: enqueue first with reason c
                     values[first] = 1
                     values[-first] = -1
@@ -239,8 +251,7 @@ class CdclSolver:
                     level[v] = lvl
                     reason[v] = c
                     trail.append(first)
-            if j < n:
-                del ws[j:]
+            del ws[j:]
         self.qhead = qhead
         return None
 
@@ -377,13 +388,16 @@ class CdclSolver:
         self.conflict = []
         if not self.ok:
             return False
-        # fresh heap per call; lazy duplicates would otherwise pile up.
-        # Variables fixed at level 0 go in too: they are never picked, so
-        # the decisions are those of a heap without them.
-        order = self.order = list(
-            zip(map(neg, self.activity[1:]), range(1, nvars + 1))
-        )
-        heapify(order)
+        # decisions read `unread`, the variables by falling activity (a
+        # stable sort keeps ties in variable order), until the first
+        # conflict, and the heap after it. Variables fixed at level 0 are
+        # listed too: they are never picked, so the decisions are those
+        # without them.
+        activity = self.activity
+        unread = iter(sorted(
+            range(1, nvars + 1), key=activity.__getitem__, reverse=True
+        ))
+        order = self.order = []
         values = self.values
         polarity = self.polarity
         level = self.level
@@ -395,6 +409,10 @@ class CdclSolver:
         since_restart = 0
         restart_idx = 0
         limit = _luby(0) * self.RESTART_BASE
+        # the trail only grows between conflicts, so the restart and
+        # learned-clause limits are tested after a conflict, a restart or
+        # a reduction, and then not again until the next one
+        check_limits = True
         try:
             while True:
                 confl = propagate()
@@ -405,6 +423,11 @@ class CdclSolver:
                     if not trail_lim:
                         self.ok = False
                         return False
+                    if not order:
+                        # the first conflict: what is left of `unread`
+                        # becomes the heap before _analyze pushes onto it.
+                        # At a later one `unread` is spent.
+                        self.order = order = [(-activity[v], v) for v in unread]
                     learnt, bt = self._analyze(confl)
                     self._backtrack(bt)
                     if len(learnt) == 1:
@@ -418,15 +441,19 @@ class CdclSolver:
                         self._enqueue(learnt[0], c)
                     self.var_inc /= self.VAR_DECAY
                     self.cla_inc /= self.CLA_DECAY
+                    check_limits = True
                     continue
-                if since_restart >= limit:
-                    since_restart = 0
-                    restart_idx += 1
-                    limit = _luby(restart_idx) * self.RESTART_BASE
-                    self._backtrack(0)
-                    continue
-                if len(self.learned) >= self.max_learnts + len(trail):
-                    self._reduce_db()
+                if check_limits:
+                    if since_restart >= limit:
+                        since_restart = 0
+                        restart_idx += 1
+                        limit = _luby(restart_idx) * self.RESTART_BASE
+                        self._backtrack(0)
+                        continue
+                    if len(self.learned) >= self.max_learnts + len(trail):
+                        self._reduce_db()
+                    else:
+                        check_limits = False
                 # open a level: the next assumption, else a decision
                 lvl = len(trail_lim)
                 if lvl < num_assumptions:
@@ -438,13 +465,17 @@ class CdclSolver:
                     if values[lit] == 1:
                         continue
                 else:
-                    while order:
-                        v = heappop(order)[1]
+                    for v in unread:
                         if values[v] == 0:
                             break
                     else:
-                        self.model = values[: nvars + 1]
-                        return True
+                        while order:
+                            v = heappop(order)[1]
+                            if values[v] == 0:
+                                break
+                        else:
+                            self.model = values[: nvars + 1]
+                            return True
                     lit = v if polarity[v] > 0 else -v
                     trail_lim.append(len(trail))
                 values[lit] = 1

@@ -1,0 +1,54 @@
+"""Scale probe: how fast the SAT side runs on a large generated instance.
+
+Runs `hs_lub` under a time limit on `generate(1, n, 3, 2n, cost_range=3,
+hard_density=0.1)` and prints the number of `CdclSolver.solve` calls, the
+calls per CPU second of the solve, the bounds it ended with and the
+evaluated total of the witness it holds. Most solves at n = 300 end at
+the limit, so the call rate is the figure to compare between versions;
+the bounds depend on how far the solve got. Run it from the repository
+root:
+
+    python3 tests/scale_probe.py 300 3
+
+pytest does not collect this file.
+"""
+
+import argparse
+import pathlib
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+import hswcsp.cdcl as cdcl  # noqa: E402
+from hswcsp import generate, hs_lub  # noqa: E402
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("n", type=int, help="number of variables")
+    parser.add_argument("time_limit", type=float, help="seconds")
+    args = parser.parse_args()
+    w = generate(1, args.n, 3, 2 * args.n, cost_range=3, hard_density=0.1)
+    calls = 0
+    solve = cdcl.CdclSolver.solve
+
+    def counted_solve(self, *a, **kw):
+        nonlocal calls
+        calls += 1
+        return solve(self, *a, **kw)
+
+    cdcl.CdclSolver.solve = counted_solve
+    try:
+        cpu = time.process_time()
+        r = hs_lub(w, time_limit=args.time_limit)
+        cpu = time.process_time() - cpu
+    finally:
+        cdcl.CdclSolver.solve = solve
+    witness = "-" if r.witness is None else w.evaluate(r.witness).total
+    print(f"n={args.n} status={r.status} cdcl_calls={calls} "
+          f"calls_per_cpu_s={calls / cpu:.0f} lb={r.lb} ub={r.ub} witness_total={witness}")
+
+
+if __name__ == "__main__":
+    main()

@@ -23,8 +23,19 @@ the front of the lists and negative ones at the back; new_var takes the
 next pair from a gap between the halves and doubles the gap when it runs
 out. Variables added across those doublings, between solves too, must
 each get two fresh slots.
+
+The stress loops pin their transcripts: a digest of every solve, in
+order, as its assumptions, its answer, the model's true variables (SAT)
+or the failed assumptions (UNSAT), every variable's phase, and the
+literals of every learned clause. The loops restart, reduce the clause
+database and rescale activities, which no solve of the trace pins in
+test_trace_pins.py does, so a change to the solver's internals that keeps
+every answer must keep these digests too. After every solve, each stored
+clause must be in the watch lists of its first two literals, once each,
+and in no other.
 """
 
+import hashlib
 import random
 
 from hswcsp.cdcl import CdclSolver
@@ -35,23 +46,58 @@ def _satisfies(model, clauses):
     return all(any(model[abs(lit)] == (1 if lit > 0 else -1) for lit in c) for c in clauses)
 
 
+def _random_formula(rng, nvars, nclauses):
+    return [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
+        for _ in range(nclauses)
+    ]
+
+
+def _random_assumptions(rng, nvars):
+    return [
+        v if rng.random() < 0.5 else -v
+        for v in rng.sample(range(1, nvars + 1), rng.randint(0, 6))
+    ]
+
+
+def _assert_watched_once(solver):
+    expected = sorted(
+        (id(c), lit) for c in solver.clauses + solver.learned for lit in c.lits[:2]
+    )
+    watched = sorted(
+        (id(c), lit)
+        for lit in range(-solver.nvars, solver.nvars + 1)
+        for c in solver.watches[lit]
+    )
+    assert watched == expected
+    assert sum(map(len, solver.watches)) == len(expected)  # the gap is empty
+
+
+def _record(transcript, solver, assumptions, answer):
+    """Add one solve to a transcript digest and check the watch lists."""
+    if answer:
+        out = [v for v in range(1, solver.nvars + 1) if solver.model[v] == 1]
+    else:
+        out = solver.conflict
+    learned = [sorted(c.lits) for c in solver.learned]
+    entry = (assumptions, answer, out, solver.polarity[1:], learned)
+    transcript.update(repr(entry).encode())
+    _assert_watched_once(solver)
+
+
 def test_models_are_total_and_satisfying_under_frequent_restarts():
     rng = random.Random(7300)
     nvars, nclauses = 40, 168
     sat = 0
+    transcript = hashlib.sha256()
     for _ in range(300):
-        clauses = [
-            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
-            for _ in range(nclauses)
-        ]
+        clauses = _random_formula(rng, nvars, nclauses)
         solver = load(CdclSolver(), nvars, clauses)
         solver.RESTART_BASE = 2
         for _ in range(5):
-            assumptions = [
-                v if rng.random() < 0.5 else -v
-                for v in rng.sample(range(1, nvars + 1), rng.randint(0, 6))
-            ]
+            assumptions = _random_assumptions(rng, nvars)
             answer = solver.solve(assumptions)
+            _record(transcript, solver, assumptions, answer)
             assert not solver.trail_lim
             if not answer:
                 continue
@@ -66,6 +112,7 @@ def test_models_are_total_and_satisfying_under_frequent_restarts():
             assert _satisfies(model, clauses)
             assert all(model[abs(lit)] == (1 if lit > 0 else -1) for lit in assumptions)
     assert sat > 300
+    assert transcript.hexdigest()[:16] == "fa29c70c66e1eeaf"
 
 
 def test_answers_hold_under_frequent_clause_database_reduction(monkeypatch):
@@ -86,19 +133,15 @@ def test_answers_hold_under_frequent_clause_database_reduction(monkeypatch):
     rng = random.Random(7301)
     nvars, nclauses = 50, 213
     answers = set()
+    transcript = hashlib.sha256()
     for _ in range(60):
-        clauses = [
-            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
-            for _ in range(nclauses)
-        ]
+        clauses = _random_formula(rng, nvars, nclauses)
         solver = load(CdclSolver(), nvars, clauses)
         solver.max_learnts = 1.0
         for _ in range(5):
-            assumptions = [
-                v if rng.random() < 0.5 else -v
-                for v in rng.sample(range(1, nvars + 1), rng.randint(0, 6))
-            ]
+            assumptions = _random_assumptions(rng, nvars)
             answer = solver.solve(assumptions)
+            _record(transcript, solver, assumptions, answer)
             answers.add(answer)
             assert answer == load(CdclSolver(), nvars, clauses).solve(assumptions)
             if answer:
@@ -107,16 +150,10 @@ def test_answers_hold_under_frequent_clause_database_reduction(monkeypatch):
             else:
                 assert set(solver.conflict) <= set(assumptions)
                 assert not load(CdclSolver(), nvars, clauses).solve(solver.conflict)
-            # every stored clause is watched by its first two literals, once
-            stored = solver.clauses + solver.learned
-            assert sum(map(len, solver.watches)) == 2 * len(stored)
-            assert all(
-                c in solver.watches[c.lits[0]] and c in solver.watches[c.lits[1]]
-                for c in stored
-            )
     assert answers == {True, False}
     assert counts["reduce"] >= 300
     assert counts["locked"] >= 100
+    assert transcript.hexdigest()[:16] == "c0550bfef14d7f8c"
 
 
 def test_answers_hold_across_activity_rescales():
@@ -125,19 +162,15 @@ def test_answers_hold_across_activity_rescales():
     rng = random.Random(7302)
     nvars, nclauses = 50, 213
     var_rescaled = cla_rescaled = 0
+    transcript = hashlib.sha256()
     for _ in range(40):
-        clauses = [
-            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
-            for _ in range(nclauses)
-        ]
+        clauses = _random_formula(rng, nvars, nclauses)
         solver = load(CdclSolver(), nvars, clauses)
         solver.var_inc, solver.cla_inc = 1e99, 1e19
         for _ in range(5):
-            assumptions = [
-                v if rng.random() < 0.5 else -v
-                for v in rng.sample(range(1, nvars + 1), rng.randint(0, 6))
-            ]
+            assumptions = _random_assumptions(rng, nvars)
             answer = solver.solve(assumptions)
+            _record(transcript, solver, assumptions, answer)
             assert answer == load(CdclSolver(), nvars, clauses).solve(assumptions)
             if answer:
                 assert _satisfies(solver.model, clauses)
@@ -145,6 +178,36 @@ def test_answers_hold_across_activity_rescales():
         var_rescaled += solver.var_inc < 1e99
         cla_rescaled += solver.cla_inc < 1e19
     assert var_rescaled >= 30 and cla_rescaled >= 1
+    assert transcript.hexdigest()[:16] == "2510f7211ea049d9"
+
+
+def test_default_parameters_keep_their_transcript():
+    rng = random.Random(7304)
+    nvars, nclauses = 100, 426
+    transcript = hashlib.sha256()
+    for _ in range(10):
+        clauses = _random_formula(rng, nvars, nclauses)
+        solver = load(CdclSolver(), nvars, clauses)
+        for _ in range(5):
+            assumptions = _random_assumptions(rng, nvars)
+            answer = solver.solve(assumptions)
+            _record(transcript, solver, assumptions, answer)
+            if answer:
+                assert _satisfies(solver.model, clauses)
+            else:
+                assert set(solver.conflict) <= set(assumptions)
+    assert transcript.hexdigest()[:16] == "7a46c82680db9de3"
+
+
+def test_decisions_take_the_most_active_variable_first_ties_by_variable():
+    # [-1, -2] with both phases +1: the first decision is true and forces
+    # the other variable false
+    for activity, model in (([0.0, 1.0], [-1, 1]), ([0.0, 0.0], [1, -1])):
+        solver = load(CdclSolver(), 2, [[-1, -2]])
+        solver.polarity[1:] = [1, 1]
+        solver.activity[1:] = activity
+        assert solver.solve()
+        assert solver.model[1:] == model
 
 
 def test_a_tautology_is_not_stored():
@@ -184,8 +247,4 @@ def test_variables_added_across_gap_doublings_get_fresh_slots():
             # level 0: each fixed literal is true, its negation false
             assert all(solver.values[lit] == 1 == -solver.values[-lit]
                        for lit in solver.trail)
-        stored = solver.clauses + solver.learned
-        assert all(
-            c in solver.watches[c.lits[0]] and c in solver.watches[c.lits[1]]
-            for c in stored if len(c.lits) > 1
-        )
+        _assert_watched_once(solver)
