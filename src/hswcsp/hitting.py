@@ -39,7 +39,16 @@ prefix can be completed, so only the levels below the witness's need a
 check; a successful check yields a completion that becomes the new
 witness. A check is the same search at the budget optimal cost + 1, run
 on the same persistent problem with the prefix fixed; no reduced problem
-is built.
+is built. The free suffix starts at its lowest levels with no caps, so a
+check at position pos asks only whether the suffix pos+1.. can hit the
+cores the prefix leaves unhit, u, at a suffix cost below b, the budget
+less the prefix's cost. A refuted check is kept as a nogood (u, b) of its
+position, and a later check there whose unhit cores include u and whose
+budget is at most b is refuted without a search: it asks the suffix to
+hit more cores for less. This caches refuted subproblems for the life of
+the problem, as context-based caching does in branch and bound over
+graphical models (Dechter & Mateescu, AIJ 2007). A nogood answers only
+checks that a search would refute, so the pass returns the same hitter.
 
 A search node keeps one entry per core its vector leaves unhit: the
 core's raise options and its cheapest raise. A child differs from its
@@ -86,6 +95,13 @@ class HittingProblem:
     each bound a refuted try proves, so an optimum it finds costs exactly
     the floor; adding cores can only raise the optimum, so the floor stays
     a lower bound for the life of the problem.
+
+    `nogoods[pos]` lists the refuted lex-min checks at position pos, each
+    as (u, b): no levels of components pos+1.. hit every core whose bit is
+    set in u at a cost below b. add_cores keeps every nogood true: a core
+    keeps its index, so the bits of u keep their meaning, and the cores
+    appended after a nogood are not in its u, so they ask nothing more of
+    the suffix.
     """
 
     def __init__(
@@ -107,6 +123,7 @@ class HittingProblem:
         self.core_steps: list[tuple[tuple[int, int, int, int], ...]] = []
         self.core_untouched: list[tuple[int, int, int, int]] = []
         self.below = [[0] * len(ls) for ls in self.levels]
+        self.nogoods: list[list[tuple[int, int]]] = [[] for _ in self.levels]
         self.floor = self.min_cost()
         self.add_cores(pool)
 
@@ -369,20 +386,37 @@ def _lex_min_at_cost(
     check. Each check is a first-solution _branch_and_bound on `p` itself
     under the prefix; the hitter a check finds becomes the next witness.
     When no lower level completes, the witness's level is taken
-    unsearched. A mask of the cores the fixed prefix leaves unhit, narrowed
-    as components are fixed, checks at the end that the result hits them.
+    unsearched. A mask of the cores the fixed prefix leaves unhit and the
+    prefix's cost, both kept up as components are fixed, check at the end
+    that the result hits every core at cost `target`.
+
+    The mask and the cost also frame each check at level t as (u, b): u,
+    the mask less the cores that level t hits, must be hit by the suffix
+    at a cost below b, target + 1 less the prefix's cost with level t.
+    Before searching, the check scans `p.nogoods[pos]`: a stored (nu, nb)
+    with nu a subset of u and b <= nb refutes it, so it is skipped. A
+    check that a search refutes appends (u, b). Either way the level is
+    refuted, so the pass makes the same choices it would make without
+    nogoods.
     """
     witness = tuple(witness)
     unhit = (1 << len(p.cores)) - 1
-    for pos in range(p.m):
+    cost = 0  # of the fixed prefix
+    for pos, (ls, below, nogoods) in enumerate(zip(p.levels, p.below, p.nogoods)):
         for t in range(witness[pos]):
+            u = unhit & ~below[t]
+            b = target + 1 - cost - ls[t]
+            if any(b <= nb and not nu & ~u for nu, nb in nogoods):
+                continue
             prefix = (*witness[:pos], t)
             found = _branch_and_bound(p, target + 1, should_stop, prefix)[0]
             if found is not None:
                 witness = found
                 break
-        unhit &= ~p.below[pos][witness[pos]]
-    if unhit or sum(ls[t] for ls, t in zip(p.levels, witness)) != target:
+            nogoods.append((u, b))
+        unhit &= ~below[witness[pos]]
+        cost += ls[witness[pos]]
+    if unhit or cost != target:
         raise RuntimeError(
             f"lex-min pass ended on {witness}, which is not a hitter of cost {target}"
         )

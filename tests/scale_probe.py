@@ -2,10 +2,12 @@
 
 Runs `hs_lub` under a time limit on `generate(1, n, 3, 2n, cost_range=3,
 hard_density=0.1)` and prints the number of `CdclSolver.solve` calls, the
-calls per CPU second of the solve, the bounds it ended with and the
-evaluated total of the witness it holds. Most solves at n = 300 end at
-the limit, so the call rate is the figure to compare between versions;
-the bounds depend on how far the solve got. Run it from the repository
+calls per CPU second of the solve, the number of cores it pooled, the
+bounds it ended with and the evaluated total of the witness it holds.
+Most solves at n = 300 end at the limit, so the call rate and the core
+count are the figures to compare between versions: the call rate for the
+SAT side, the core count for how much the whole solve got done. The
+bounds depend on how far the solve got. Run it from the repository
 root:
 
     python3 tests/scale_probe.py 300 3
@@ -47,7 +49,8 @@ def main() -> None:
         cdcl.CdclSolver.solve = solve
     witness = "-" if r.witness is None else w.evaluate(r.witness).total
     print(f"n={args.n} status={r.status} cdcl_calls={calls} "
-          f"calls_per_cpu_s={calls / cpu:.0f} lb={r.lb} ub={r.ub} witness_total={witness}")
+          f"calls_per_cpu_s={calls / cpu:.0f} cores={r.cores_used} "
+          f"lb={r.lb} ub={r.ub} witness_total={witness}")
 
 
 if __name__ == "__main__":

@@ -429,6 +429,90 @@ def test_prefix_search_finds_the_cheapest_extension():
     assert found > 100 and missing > 30
 
 
+def _suffix_hits_below(levels, cores, pos, unhit, budget) -> bool:
+    """Whether some levels of components pos+1.. hit every core whose bit
+    is set in `unhit` at a suffix cost below `budget`, by enumeration."""
+    suffix = levels[pos + 1 :]
+    wanted = [k[pos + 1 :] for ci, k in enumerate(cores) if unhit >> ci & 1]
+    return any(
+        sum(ls[t] for ls, t in zip(suffix, idx)) < budget
+        and all(any(t > c for t, c in zip(idx, k)) for k in wanted)
+        for idx in itertools.product(*(range(len(ls)) for ls in suffix))
+    )
+
+
+def test_every_nogood_holds_by_enumeration(monkeypatch):
+    """Grow problems core by core and solve after each core; every stored
+    nogood (pos, u, b) must be true of the pool at that point, checked by
+    enumeration: no levels of components pos+1.. hit every core in u at a
+    suffix cost below b. Since cores are only appended, a nogood recorded
+    at an earlier step is checked again against every later pool. The
+    same pools solved on fresh problems, which hold no nogoods, run more
+    lex-min checks as searches: the nogoods do answer some."""
+    searches = {True: 0, False: 0}  # lex-min checks searched, by persistence
+    search = hitting._branch_and_bound
+    persistent = True
+
+    def counted(p, bound, should_stop, prefix=()):
+        searches[persistent] += bool(prefix)
+        return search(p, bound, should_stop, prefix)
+
+    monkeypatch.setattr(hitting, "_branch_and_bound", counted)
+    rng = random.Random(2611)
+    nogoods = 0
+    for _ in range(150):
+        levels, pool = _random_growing_pool(rng, saturated_ok=False)
+        p = HittingProblem(levels)
+        for n, core in enumerate(pool, 1):
+            p.add_cores([core])
+            persistent = True
+            min_cost_hitting_vector(p)
+            persistent = False
+            min_cost_hitting_vector(HittingProblem(levels, pool[:n]))
+            for pos, stored in enumerate(p.nogoods):
+                for u, b in stored:
+                    assert not _suffix_hits_below(levels, p.cores, pos, u, b)
+        nogoods += sum(map(len, p.nogoods))
+    assert nogoods > 200
+    assert searches[True] < searches[False]
+
+
+def test_nogoods_keep_the_hitter_and_save_nodes(monkeypatch):
+    """A problem grown core by core, which keeps its nogoods, returns the
+    same lex-min hitter at every step as a fresh problem built from the
+    same pool, which has none, and enters no more search nodes. The fresh
+    problem starts from the grown one's floor, so both run the same
+    min-cost tries and the node counts differ only in the lex-min pass."""
+    entered = 0
+
+    def counting(should_stop):
+        def poll():
+            nonlocal entered
+            entered += 1
+
+        return poll
+
+    monkeypatch.setattr(hitting, "_make_stop_poll", counting)
+    rng = random.Random(2612)
+    saved = steps = 0
+    for _ in range(200):
+        levels, pool = _random_growing_pool(rng, saturated_ok=False)
+        p = HittingProblem(levels)
+        for n, core in enumerate(pool, 1):
+            p.add_cores([core])
+            fresh = HittingProblem(levels, pool[:n])
+            fresh.floor = p.floor
+            entered = 0
+            kept = min_cost_hitting_vector(p)
+            kept_nodes = entered
+            entered = 0
+            assert min_cost_hitting_vector(fresh) == kept
+            assert kept_nodes <= entered
+            saved += entered - kept_nodes
+            steps += 1
+    assert steps > 500 and saved > 0
+
+
 def _reference_branch_and_bound(levels, cores, bound, prefix=()):
     """The search of _branch_and_bound written plainly: every node
     recomputes each unhit core's raise options, its cheapest raise and

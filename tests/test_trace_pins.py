@@ -15,7 +15,8 @@ branch-and-bound nodes entered over the whole solve, summed over every
 min-cost, lex-min and bounded search. They move with any change to the
 branching order, the pruning bounds or the budgets of the min-cost
 search's iterative deepening, even one that keeps every digest; a tighter
-bound may only lower them.
+bound, or a refuted lex-min check that a nogood answers without a search,
+may only lower them.
 
 The CDCL call counts pin the work of the SAT side: the number of
 `CdclSolver.solve` calls over the whole solve, seeding's included. They
@@ -110,18 +111,18 @@ def test_trace_digest_pinned(instance, strategy, optimum, digest):
 
 
 NODES = {
-    ("soft", "hs_lb"): 629,
+    ("soft", "hs_lb"): 508,
     ("soft", "hs_ub"): 268,
-    ("soft", "hs_lub_det"): 453,
-    ("hard", "hs_lb"): 848,
+    ("soft", "hs_lub_det"): 403,
+    ("hard", "hs_lb"): 751,
     ("hard", "hs_ub"): 190,
-    ("hard", "hs_lub_det"): 405,
-    ("soft", "hs_lb+seed"): 291,
+    ("hard", "hs_lub_det"): 391,
+    ("soft", "hs_lb+seed"): 258,
     ("soft", "hs_ub+seed"): 194,
-    ("soft", "hs_lub_det+seed"): 226,
-    ("hard", "hs_lb+seed"): 1178,
+    ("soft", "hs_lub_det+seed"): 208,
+    ("hard", "hs_lb+seed"): 1103,
     ("hard", "hs_ub+seed"): 219,
-    ("hard", "hs_lub_det+seed"): 460,
+    ("hard", "hs_lub_det+seed"): 451,
 }
 
 
