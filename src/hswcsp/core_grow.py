@@ -6,8 +6,9 @@ over the components, cheapest next increment first, until a full pass
 changes nothing. Every SAT probe met on the way is a solution vector, so
 its cost goes to the caller's offer_ub callback as an upper-bound
 candidate, witness attached. The engine's loops offer that cost to the
-core pool, which keeps it only if it improves the bound; seeding offers
-the witness's evaluated total instead. That holds for
+core pool, which keeps it only if it improves the bound; seeding's probe
+loop, from the minimum vector, offers the witness's evaluated total
+instead. That holds for
 the first probe too, of the start vector itself: a start vector that is
 not a core is offered and growth returns None, so a caller needs no
 query of its own to tell a solution from a core.
@@ -43,7 +44,7 @@ __all__ = ["maximal_core"]
 def maximal_core(
     oracle: SatOracle,
     h: Sequence[int],
-    offer_ub: Callable[[int, tuple[int, ...]], object] | None = None,
+    offer_ub: Callable[[int, tuple[int, ...]], object],
 ) -> tuple[int, ...] | None:
     """Grow the core h until every single-component raise is satisfiable.
 
@@ -77,8 +78,7 @@ def maximal_core(
     idx = w.level_indices(v)  # checks that h is a vector of levels
     first = ask(v)
     if first.satisfiable:
-        if offer_ub is not None:
-            offer_ub(sum(v), first.witness)
+        offer_ub(sum(v), first.witness)
         return None
     bound = first.core  # v <= bound throughout, and bound is a core
 
@@ -101,8 +101,7 @@ def maximal_core(
                 verdict = ask(probe)
                 if verdict.satisfiable:
                     settled[i] = True
-                    if offer_ub is not None:
-                        offer_ub(sum(probe), verdict.witness)
+                    offer_ub(sum(probe), verdict.witness)
                     continue
                 bound = verdict.core
             v[i] = raised

@@ -184,63 +184,60 @@ class SolveResult:
             raise ValueError(f"{self.status} result carries optimum {self.optimum}")
 
 
-def seed_disjoint_cores(w: Wcsp, pool: CorePool, oracle: SatOracle) -> int:
+def seed_disjoint_cores(pool: CorePool, oracle: SatOracle) -> int:
     """Pre-fill the pool with cores whose below-maximum components are
     pairwise disjoint, then raise lb by their additive increments.
 
-    Probe loop: components already marked used sit at their maximum level,
-    everything else at its minimum. Each probe goes straight to core
-    growth, whose first query tells a solution from a core: a SAT probe
-    ends seeding; an UNSAT probe is grown into a maximal core, pooled, and
-    every component of it still below maximum is marked used, so later
-    probes can only blame fresh components. Every SAT answer growth meets,
-    the ending probe's included, offers its witness's evaluated total as
-    an upper bound.
+    Probe loop over the instance of `oracle`: the probe starts at the
+    minimum vector and goes straight to core growth, whose first query
+    tells a solution from a core. A SAT probe ends seeding; an UNSAT probe
+    is grown into a maximal core and pooled, and every component of that
+    core still below its maximum is set to its maximum in the probe, so
+    later probes can only blame fresh components. A grown core dominates
+    its probe, so those components still sat at their minimum. Seeding
+    ends when a core has none (the probe would not change). Every SAT
+    answer growth meets, the ending probe's included, offers its
+    witness's evaluated total as an upper bound.
 
     Because the below-maximum sets are disjoint, any vector hitting all
     seeded cores pays, per core, at least the cheapest next-level increment
     over that core's below-maximum components, on top of the sum of all
-    minimum levels. That sum is pushed as a lower bound with source SEED.
-    When the oracle's stop predicate ends seeding early, the bump of the
-    cores pooled so far is pushed before the SearchAborted propagates.
-    Every probe goes to `oracle`, an oracle of w. Returns the number of
-    cores added.
+    minimum levels. That sum is kept as each core is pooled and pushed as
+    a lower bound with source SEED. When the oracle's stop predicate ends
+    seeding early, the bound of the cores pooled so far is pushed before
+    the SearchAborted propagates. Returns the number of cores grown.
     """
+    w = oracle.w
+    funcs = w.cost_functions
     mins, maxs = w.min_vector(), w.max_vector()
-    used: set[int] = set()
-    added: list[tuple[int, ...]] = []
+    probe = list(mins)
+    bound, grown_cores = sum(mins), 0
 
     def offer(_: int, witness: tuple[int, ...]) -> None:
         pool.offer_ub(w.evaluate(witness).total, witness, "SEED")
 
     try:
         while True:
-            probe = tuple(maxs[i] if i in used else mins[i] for i in range(w.m))
             grown = maximal_core(oracle, probe, offer)
             if grown is None:
                 break
             pool.add_core(grown, "SEED")
-            added.append(grown)
-            fresh = {i for i in range(w.m) if grown[i] < maxs[i]} - used
-            if not fresh:
+            grown_cores += 1
+            below = [i for i in range(w.m) if grown[i] < maxs[i]]
+            if not below:
                 break  # nothing left to separate on; avoid re-probing forever
-            used |= fresh
+            bound += min(
+                funcs[i].levels[funcs[i].index[grown[i]] + 1] - probe[i] for i in below
+            )
+            for i in below:
+                probe[i] = maxs[i]
     finally:
-        if added:
-            bump = sum(mins)
-            for core in added:
-                increments = [
-                    f.levels[f.index[level] + 1] - mins[i]
-                    for i, (f, level) in enumerate(zip(w.cost_functions, core))
-                    if level < maxs[i]
-                ]
-                bump += min(increments, default=0)
-            pool.raise_lb(bump, "SEED")
-    return len(added)
+        if grown_cores:
+            pool.raise_lb(bound, "SEED")
+    return grown_cores
 
 
 def _run_loops(
-    w: Wcsp,
     pool: CorePool,
     oracle: SatOracle,
     halt: Callable[[], bool],
@@ -260,7 +257,7 @@ def _run_loops(
     the optimum, lb rises to it and the loops return False. They also
     return False when the bounds meet or they are halted.
     """
-    problem = HittingProblem(w.levels_per_function())
+    problem = HittingProblem(oracle.w.levels_per_function())
     while True:
         for name in iterations:
             if halt():
@@ -328,9 +325,9 @@ def _solve(
                     infeasible = True
                 else:
                     if seed_disjoint:
-                        seed_disjoint_cores(w, pool, oracle)
+                        seed_disjoint_cores(pool, oracle)
                     iterations = dict.fromkeys(loops, 0)
-                    infeasible = _run_loops(w, pool, oracle, halt, iterations)
+                    infeasible = _run_loops(pool, oracle, halt, iterations)
         except (SearchAborted, KeyboardInterrupt):
             pass
         return pool.result(iterations, infeasible)

@@ -3,7 +3,8 @@
 Runs `hs_lub` under a time limit on `generate(1, n, 3, 2n, cost_range=3,
 hard_density=0.1)` and prints the number of `CdclSolver.solve` calls, the
 calls per CPU second of the solve, the number of cores it pooled, the
-bounds it ended with and the evaluated total of the witness it holds.
+calls per pooled core (`-` when it pooled none), the bounds it ended
+with and the evaluated total of the witness it holds.
 Most solves at n = 300 end at the limit, so the call rate and the core
 count are the figures to compare between versions: the call rate for the
 SAT side, the core count for how much the whole solve got done. The
@@ -48,9 +49,10 @@ def main() -> None:
     finally:
         cdcl.CdclSolver.solve = solve
     witness = "-" if r.witness is None else w.evaluate(r.witness).total
+    per_core = f"{calls / r.cores_used:.1f}" if r.cores_used else "-"
     print(f"n={args.n} status={r.status} cdcl_calls={calls} "
           f"calls_per_cpu_s={calls / cpu:.0f} cores={r.cores_used} "
-          f"lb={r.lb} ub={r.ub} witness_total={witness}")
+          f"calls_per_core={per_core} lb={r.lb} ub={r.ub} witness_total={witness}")
 
 
 if __name__ == "__main__":

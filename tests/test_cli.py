@@ -163,6 +163,20 @@ def test_trace_file_layout(fig1_path, tmp_path, capsys):
     assert rows[-1][2] == "20" and rows[-1][3] == "MAIN"
 
 
+@pytest.mark.parametrize("alg", ["lb", "ub", "lub"])
+def test_seeded_solve_closes_fig1_before_the_loops(fig1_path, tmp_path, capsys, alg):
+    trace = tmp_path / "t.csv"
+    code, out, err = run(
+        capsys, "solve", fig1_path, "--alg", alg, "--seed-disjoint", "--trace", str(trace)
+    )
+    assert code == 0 and err == ""
+    lines = out.strip().split("\n")
+    assert lines[0] == "OPTIMAL 20"
+    assert re.fullmatch(r"STATUS OPTIMAL LB 20 UB 20 CORES 1 TIME_MS \d+", lines[1])
+    rows = [line.split(",", 1)[1] for line in trace.read_text().strip().split("\n")[3:]]
+    assert rows == ["UB,20,SEED", "CORE,1,SEED", "LB,20,SEED", "DONE,20,MAIN"]
+
+
 def test_trace_file_written_even_on_timeout(fig1_path, tmp_path, capsys):
     trace = tmp_path / "t.csv"
     code, _, _ = run(capsys, "solve", fig1_path, "--time-limit", "0", "--trace", str(trace))

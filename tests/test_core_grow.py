@@ -14,13 +14,17 @@ from hswcsp.cdcl import CdclSolver
 from oracles import NaiveSolver, classify_all_vectors, leq, maximal_cores, vector_is_solution
 
 
+def _no_offer(value, witness):
+    pass
+
+
 @pytest.mark.parametrize("start", [(0, 0), (0, 5), (5, 0), (5, 5)])
 def test_every_fig1_core_grows_to_the_unique_maximal_core(fig1, start):
-    assert maximal_core(SatOracle(fig1), start) == (5, 5)
+    assert maximal_core(SatOracle(fig1), start, _no_offer) == (5, 5)
 
 
 def test_growth_result_dominates_start(fig1):
-    grown = maximal_core(SatOracle(fig1), (0, 5))
+    grown = maximal_core(SatOracle(fig1), (0, 5), _no_offer)
     assert leq((0, 5), grown)
 
 
@@ -65,16 +69,12 @@ def test_growth_respects_preexisting_bound(fig1):
     assert pool.ub == 20 and pool.best_witness == (0, 1, 1)
 
 
-def test_growth_without_sink(fig1):
-    assert maximal_core(SatOracle(fig1), (0, 0), offer_ub=None) == (5, 5)
-
-
 def test_stop_now_aborts(fig1):
     stop = False
     oracle = SatOracle(fig1, should_stop=lambda: stop)
     stop = True
     with pytest.raises(SearchAborted):
-        maximal_core(oracle, (0, 0))
+        maximal_core(oracle, (0, 0), _no_offer)
 
 
 def test_stop_between_probes_aborts(fig1):
@@ -90,7 +90,7 @@ def test_stop_between_probes_aborts(fig1):
     oracle = SatOracle(fig1, should_stop=stop)
     calls["n"] = 0
     with pytest.raises(SearchAborted, match="stopped during core growth"):
-        maximal_core(oracle, (0, 0))
+        maximal_core(oracle, (0, 0), _no_offer)
 
 
 def test_grown_cores_are_maximal_on_random_instances(corpus):
@@ -103,7 +103,7 @@ def test_grown_cores_are_maximal_on_random_instances(corpus):
         oracle = SatOracle(w)
         maximal = set(maximal_cores(w))
         start = classification.cores[0]
-        grown = maximal_core(oracle, start)
+        grown = maximal_core(oracle, start, _no_offer)
         assert leq(start, grown)
         assert grown in maximal
         assert not vector_is_solution(w, grown)

@@ -22,9 +22,11 @@ from hswcsp import (
     hs_lb,
     hs_lub,
     hs_ub,
+    optimal_cost,
     seed_disjoint_cores,
 )
 from hswcsp.sat_oracle import _LOAD_BATCH
+from oracles import maximal_cores
 
 ALGS = [
     ("hs_lb", hs_lb),
@@ -347,7 +349,7 @@ def test_clause_generation_polls_the_halt_predicate(monkeypatch):
 
 def test_seeding_fig1_closes_the_gap(fig1):
     pool = CorePool()
-    assert seed_disjoint_cores(fig1, pool, SatOracle(fig1)) == 1
+    assert seed_disjoint_cores(pool, SatOracle(fig1)) == 1
     assert pool.cores == [(5, 5)]
     assert (pool.lb, pool.ub) == (20, 20)
 
@@ -382,7 +384,7 @@ def test_seeding_stops_at_a_sat_first_probe():
     # one function: the all-minimum vector is always satisfiable
     w = Wcsp.build(1, [2], [((0,), {(0,): 0, (1,): 5})], top=10, name="one")
     pool = CorePool()
-    assert seed_disjoint_cores(w, pool, SatOracle(w)) == 0
+    assert seed_disjoint_cores(pool, SatOracle(w)) == 0
     assert pool.cores == [] and pool.lb == 0 and pool.ub == 0
 
 
@@ -390,7 +392,7 @@ def test_seeding_stops_when_a_core_has_no_fresh_component(infeasible):
     # every probe is UNSAT, so the first core grows to the maximum vector
     # and leaves nothing to separate the next probe on
     pool = CorePool()
-    assert seed_disjoint_cores(infeasible, pool, SatOracle(infeasible)) == 1
+    assert seed_disjoint_cores(pool, SatOracle(infeasible)) == 1
     assert pool.cores == [infeasible.max_vector()]
     assert (pool.lb, pool.ub) == (sum(infeasible.min_vector()), INF)
 
@@ -403,7 +405,7 @@ def test_seeding_stopped_early_keeps_its_bump():
     pool = CorePool()
     oracle = SatOracle(w, should_stop=lambda: len(pool.cores) >= 2)
     with pytest.raises(SearchAborted):
-        seed_disjoint_cores(w, pool, oracle)
+        seed_disjoint_cores(pool, oracle)
     assert len(pool.cores) == 2
     mins, maxs = w.min_vector(), w.max_vector()
     bump = sum(mins) + sum(
@@ -430,7 +432,7 @@ def test_seeding_asks_each_probe_once(fig1, monkeypatch):
         return solve(self, v)
 
     monkeypatch.setattr(SatOracle, "solve_under_vector", logged)
-    assert seed_disjoint_cores(fig1, CorePool(), SatOracle(fig1)) == 1
+    assert seed_disjoint_cores(CorePool(), SatOracle(fig1)) == 1
     assert asked[0] == fig1.min_vector()
     assert all(a != b for a, b in zip(asked, asked[1:]))
 
@@ -440,6 +442,41 @@ def test_seeded_hs_ub_raises_lb_only_through_seeding(two_blocks):
     assert r.status == OPTIMAL and r.optimum == 8
     lb_events = [e for e in r.trace if e.kind == "LB"]
     assert all(e.source == "SEED" for e in lb_events)
+
+
+def test_seeded_cores_are_disjoint_maximal_and_priced(top_corpus, random_built):
+    """On instances with hard constraints, infeasible ones included: the
+    seeded cores are maximal, their below-maximum components pairwise
+    disjoint, lb is the sum of the minimum levels plus each core's
+    cheapest increment, and seeding the pool again changes nothing."""
+    for w in top_corpus + random_built:
+        mins, maxs = w.min_vector(), w.max_vector()
+        pool = CorePool()
+        count = seed_disjoint_cores(pool, SatOracle(w))
+        assert count == len(pool.cores)
+        maximal = set(maximal_cores(w))
+        blamed: set[int] = set()
+        bound = sum(mins)
+        for core in pool.cores:
+            assert core in maximal
+            below = {i for i in range(w.m) if core[i] < maxs[i]}
+            assert not below & blamed
+            blamed |= below
+            bound += min(
+                (
+                    f.levels[f.index[core[i]] + 1] - mins[i]
+                    for i, f in enumerate(w.cost_functions)
+                    if i in below
+                ),
+                default=0,
+            )
+        assert pool.lb == (bound if count else 0)
+        optimum = optimal_cost(w)
+        if optimum is not None:
+            assert pool.lb <= optimum
+        cores, lb = list(pool.cores), pool.lb
+        assert seed_disjoint_cores(pool, SatOracle(w)) == count
+        assert pool.cores == cores and pool.lb == lb
 
 
 # ---------------------------------------------------------------- small exacts

@@ -114,10 +114,10 @@ def test_should_stop_aborts(fig1, backend):
     with pytest.raises(SearchAborted):
         oracle.solve_under_vector((0, 0))
     with pytest.raises(SearchAborted):
-        maximal_core(oracle, (0, 0))
+        maximal_core(oracle, (0, 0), lambda value, witness: None)
     pool = CorePool()
     with pytest.raises(SearchAborted):
-        seed_disjoint_cores(fig1, pool, oracle)
+        seed_disjoint_cores(pool, oracle)
     assert pool.cores == [] and (pool.lb, pool.ub) == (0, INF)
 
 
