@@ -5,13 +5,14 @@ UNSAT. Growth probes one single-level raise at a time, in repeated passes
 over the components, cheapest next increment first, until a full pass
 changes nothing. Every SAT probe met on the way is a solution vector, so
 its cost goes to the caller's offer_ub callback as an upper-bound
-candidate, witness attached. The engine's loops offer that cost to the
-core pool, which keeps it only if it improves the bound; seeding's probe
-loop, from the minimum vector, offers the witness's evaluated total
-instead. That holds for
-the first probe too, of the start vector itself: a start vector that is
-not a core is offered and growth returns None, so a caller needs no
-query of its own to tell a solution from a core.
+candidate, witness attached. The engine calls growth from its
+disjoint-core phase, once per probe. In the loops' phase, from a hitter,
+the cost is offered to the core pool, which keeps it only if it improves
+the bound; in seeding's phase, from the minimum vector, the witness's
+evaluated total is offered instead. That holds for the first probe too,
+of the start vector itself: a start vector that is not a core is offered
+and growth returns None, so a caller needs no query of its own to tell a
+solution from a core, and the phase ends there.
 
 Each UNSAT verdict carries a core that dominates its query, built from the
 oracle's failed assumptions. Growth keeps the core of the last UNSAT

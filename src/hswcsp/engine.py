@@ -2,10 +2,16 @@
 
 Three entry points. hs_lb repeatedly takes a minimum-cost hitting vector
 of the pool (its cost is a lower bound), asks the oracle, and either
-records a solution or grows and pools a new core. hs_ub asks only for
-some hitting vector cheaper than the incumbent; when none exists the
-incumbent is proven optimal. hs_lub runs both loops over one pool as a
-single-thread round-robin, so each feeds on the other's cores and bounds.
+records a solution or runs the disjoint-core phase from it: it grows a
+core, raises the core's below-maximum components to their maximum and
+probes again, pooling up to four cores per hitter until a probe is a
+solution (MaxHS's disjoint-core phase, Davies & Bacchus, CP 2011; several
+cores per hitting set, as in LMHS, Saikko, Berg & Järvisalo, SAT 2016).
+hs_ub asks only for some hitting vector cheaper than the incumbent and
+runs the same phase from it; when none exists the incumbent is proven
+optimal. hs_lub runs both loops over one pool as a single-thread
+round-robin, so each feeds on the other's cores and bounds. Seeding is
+the same phase from the minimum vector, uncapped and priced.
 Every solve runs in one thread with one SAT oracle and one HittingProblem,
 both shared by its loops, so its trace is deterministic up to timestamps.
 
@@ -27,7 +33,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .core_grow import maximal_core
 from .hitting import HittingProblem, cost_bounded_hitting_vector, min_cost_hitting_vector
@@ -184,53 +191,84 @@ class SolveResult:
             raise ValueError(f"{self.status} result carries optimum {self.optimum}")
 
 
+# Cores one loop step pools from its hitter at most. The cap was measured
+# with tests/scale_probe.py (hs_lub, 6 s, one run each). Uncapped, hs_lub
+# ended with much worse bounds than with one core per step: lb 16 / ub
+# 357 against 40 / 260 at n = 100, and 55 / 1,070 against 78 / 1,024 at
+# n = 300. With four per step they were close to one per step (44 / 273
+# and 78 / 1,077), while the search nodes of the 12 pinned solves in
+# tests/test_trace_pins.py fell by 40%.
+_CORES_PER_STEP = 4
+
+
+def _disjoint_cores(
+    oracle: SatOracle,
+    start: Sequence[int],
+    offer: Callable[[int, tuple[int, ...]], object],
+) -> Iterator[tuple[int, ...]]:
+    """Disjoint-core phase from `start`: yield maximal cores whose
+    below-maximum components are pairwise disjoint.
+
+    Core growth tells a solution from a core with the probe's first query
+    and offers every SAT answer it meets, the ending probe's included.
+    Each grown core is yielded; then every component of it still below its
+    maximum is set to its maximum in the probe, so the next core can only
+    be blamed on fresh components. A grown core dominates its probe, so
+    those components still sat at their start value. The phase ends at the
+    first SAT probe, or at a core with no component below its maximum
+    (the probe would not change). A phase probe is >= start throughout.
+    """
+    maxs = oracle.w.max_vector()
+    probe = list(start)
+    while True:
+        grown = maximal_core(oracle, probe, offer)
+        if grown is None:
+            return
+        yield grown
+        below = [i for i, level in enumerate(grown) if level < maxs[i]]
+        if not below:
+            return
+        for i in below:
+            probe[i] = maxs[i]
+
+
 def seed_disjoint_cores(pool: CorePool, oracle: SatOracle) -> int:
-    """Pre-fill the pool with cores whose below-maximum components are
-    pairwise disjoint, then raise lb by their additive increments.
+    """Pre-fill the pool with the disjoint-core phase from the minimum
+    vector, uncapped, then raise lb by the cores' additive increments.
 
-    Probe loop over the instance of `oracle`: the probe starts at the
-    minimum vector and goes straight to core growth, whose first query
-    tells a solution from a core. A SAT probe ends seeding; an UNSAT probe
-    is grown into a maximal core and pooled, and every component of that
-    core still below its maximum is set to its maximum in the probe, so
-    later probes can only blame fresh components. A grown core dominates
-    its probe, so those components still sat at their minimum. Seeding
-    ends when a core has none (the probe would not change). Every SAT
-    answer growth meets, the ending probe's included, offers its
-    witness's evaluated total as an upper bound.
-
-    Because the below-maximum sets are disjoint, any vector hitting all
-    seeded cores pays, per core, at least the cheapest next-level increment
-    over that core's below-maximum components, on top of the sum of all
-    minimum levels. That sum is kept as each core is pooled and pushed as
-    a lower bound with source SEED. When the oracle's stop predicate ends
-    seeding early, the bound of the cores pooled so far is pushed before
-    the SearchAborted propagates. Returns the number of cores grown.
+    Every SAT answer the phase meets offers its witness's evaluated total
+    as an upper bound. Because the cores' below-maximum components are
+    pairwise disjoint and sat at their minimum in the probe that grew
+    each, any vector hitting all seeded cores pays, per core, at least the
+    cheapest next-level increment over that core's below-maximum
+    components, on top of the sum of all minimum levels. Seeding is the
+    only caller that prices the phase: in the loops, the lb loop's
+    minimum-cost search bounds the whole pool, which is at least as tight.
+    The sum is kept as each core is pooled and pushed as a lower bound
+    with source SEED. When the oracle's stop predicate ends seeding early,
+    the bound of the cores pooled so far is pushed before the
+    SearchAborted propagates. Returns the number of cores grown.
     """
     w = oracle.w
     funcs = w.cost_functions
     mins, maxs = w.min_vector(), w.max_vector()
-    probe = list(mins)
     bound, grown_cores = sum(mins), 0
 
     def offer(_: int, witness: tuple[int, ...]) -> None:
         pool.offer_ub(w.evaluate(witness).total, witness, "SEED")
 
     try:
-        while True:
-            grown = maximal_core(oracle, probe, offer)
-            if grown is None:
-                break
+        for grown in _disjoint_cores(oracle, mins, offer):
             pool.add_core(grown, "SEED")
             grown_cores += 1
-            below = [i for i in range(w.m) if grown[i] < maxs[i]]
-            if not below:
-                break  # nothing left to separate on; avoid re-probing forever
             bound += min(
-                funcs[i].levels[funcs[i].index[grown[i]] + 1] - probe[i] for i in below
+                (
+                    funcs[i].levels[funcs[i].index[level] + 1] - mins[i]
+                    for i, level in enumerate(grown)
+                    if level < maxs[i]
+                ),
+                default=0,
             )
-            for i in below:
-                probe[i] = maxs[i]
     finally:
         if grown_cores:
             pool.raise_lb(bound, "SEED")
@@ -249,13 +287,18 @@ def _run_loops(
     Both loops search one HittingProblem, which takes in the cores pooled
     since the previous step, one at a time with a halt poll before each,
     so a large pool does not hold up a time limit. A step searches for a
-    hitter under ub, the minimum-cost one for lb (its cost raises lb) or
-    any one for ub, then probes it: core growth offers the solutions it
-    meets and pools the grown core. Either search returning None means
-    nothing hits the pool below ub. With ub = inf nothing hits it at all,
-    so no vector is a solution and the loops return True; otherwise ub is
-    the optimum, lb rises to it and the loops return False. They also
-    return False when the bounds meet or they are halted.
+    hitter h under ub, the minimum-cost one for lb (its cost raises lb) or
+    any one for ub, then runs the disjoint-core phase from h: core growth
+    offers the solutions it meets, and the step pools at most
+    _CORES_PER_STEP grown cores, so one search pays for several. Each
+    phase probe is >= h, so it hits every core pooled before the step, and
+    it is at the maximum wherever an earlier core of the phase is below
+    it; a grown core dominates its probe, so none is a duplicate. Either
+    search returning None means nothing hits the pool below ub. With ub =
+    inf nothing hits it at all, so no vector is a solution and the loops
+    return True; otherwise ub is the optimum, lb rises to it and the loops
+    return False. They also return False when the bounds meet or they are
+    halted.
     """
     problem = HittingProblem(oracle.w.levels_per_function())
     while True:
@@ -281,8 +324,7 @@ def _run_loops(
                 return False
             iterations[name] += 1
             offer_ub = partial(pool.offer_ub, source=source)
-            grown = maximal_core(oracle, h, offer_ub)
-            if grown is not None:
+            for grown in islice(_disjoint_cores(oracle, h, offer_ub), _CORES_PER_STEP):
                 pool.add_core(grown, source)
 
 

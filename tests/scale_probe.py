@@ -2,9 +2,12 @@
 
 Runs `hs_lub` under a time limit on `generate(1, n, 3, 2n, cost_range=3,
 hard_density=0.1)` and prints the number of `CdclSolver.solve` calls, the
-calls per CPU second of the solve, the number of cores it pooled, the
-calls per pooled core (`-` when it pooled none), the bounds it ended
-with and the evaluated total of the witness it holds.
+calls per CPU second of the solve, the number of hitting-search nodes
+it entered (counted as `tests/test_trace_pins.py` counts them), the
+number of cores it pooled, the calls per pooled core (`-` when it pooled
+none), the bounds it ended with and the evaluated total of the witness
+it holds. The node and call counts show how a change splits its work
+between the hitting search and the SAT side.
 Most solves at n = 300 end at the limit, so the call rate and the core
 count are the figures to compare between versions: the call rate for the
 SAT side, the core count for how much the whole solve got done. The
@@ -24,6 +27,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import hswcsp.cdcl as cdcl  # noqa: E402
+import hswcsp.hitting as hitting  # noqa: E402
 from hswcsp import generate, hs_lub  # noqa: E402
 
 
@@ -33,25 +37,39 @@ def main() -> None:
     parser.add_argument("time_limit", type=float, help="seconds")
     args = parser.parse_args()
     w = generate(1, args.n, 3, 2 * args.n, cost_range=3, hard_density=0.1)
-    calls = 0
+    calls = nodes = 0
     solve = cdcl.CdclSolver.solve
+    make_poll = hitting._make_stop_poll
 
     def counted_solve(self, *a, **kw):
         nonlocal calls
         calls += 1
         return solve(self, *a, **kw)
 
+    # every search node polls once, so counting polls counts nodes
+    def counting(should_stop):
+        poll = make_poll(should_stop)
+
+        def counted():
+            nonlocal nodes
+            nodes += 1
+            poll()
+
+        return counted
+
     cdcl.CdclSolver.solve = counted_solve
+    hitting._make_stop_poll = counting
     try:
         cpu = time.process_time()
         r = hs_lub(w, time_limit=args.time_limit)
         cpu = time.process_time() - cpu
     finally:
         cdcl.CdclSolver.solve = solve
+        hitting._make_stop_poll = make_poll
     witness = "-" if r.witness is None else w.evaluate(r.witness).total
     per_core = f"{calls / r.cores_used:.1f}" if r.cores_used else "-"
     print(f"n={args.n} status={r.status} cdcl_calls={calls} "
-          f"calls_per_cpu_s={calls / cpu:.0f} cores={r.cores_used} "
+          f"calls_per_cpu_s={calls / cpu:.0f} nodes={nodes} cores={r.cores_used} "
           f"calls_per_core={per_core} lb={r.lb} ub={r.ub} witness_total={witness}")
 
 

@@ -479,6 +479,122 @@ def test_seeded_cores_are_disjoint_maximal_and_priced(top_corpus, random_built):
         assert pool.cores == cores and pool.lb == lb
 
 
+# ---------------------------------------------------------------- one step's cores
+
+
+def clashing_blocks(k: int) -> Wcsp:
+    """k independent contradictions, two_blocks' pattern: in block j the
+    two functions on (x2j, x2j+1) cannot both be 0, so every maximal core
+    holds one block at its minimum and the rest at their maximum, and the
+    disjoint-core phase from the minimum vector grows k cores."""
+    funcs = []
+    for j in range(k):
+        scope = (2 * j, 2 * j + 1)
+        funcs.append((scope, {(0, 0): 0, (0, 1): 3, (1, 0): 3, (1, 1): 3}))
+        funcs.append((scope, {(0, 1): 0, (0, 0): 4, (1, 0): 4, (1, 1): 4}))
+    return Wcsp.build(2 * k, [2] * (2 * k), funcs, top=100, name=f"blocks{k}")
+
+
+def record_steps(monkeypatch) -> list[list[tuple]]:
+    """Record, per loop step (one hitting search each), every maximal_core
+    call as ("grow", probe, result) and every pooled core as ("add", core,
+    accepted), in order. The list grows as solves run."""
+    steps: list[list[tuple]] = []
+    grow = engine_mod.maximal_core
+    add = CorePool.add_core
+
+    def searching(search):
+        def call(*args, **kwargs):
+            steps.append([])
+            return search(*args, **kwargs)
+        return call
+
+    def growing(oracle, probe, offer):
+        probe = tuple(probe)
+        grown = grow(oracle, probe, offer)
+        steps[-1].append(("grow", probe, grown))
+        return grown
+
+    def adding(pool, core, source):
+        accepted = add(pool, core, source)
+        steps[-1].append(("add", tuple(core), accepted))
+        return accepted
+
+    for name in ("min_cost_hitting_vector", "cost_bounded_hitting_vector"):
+        monkeypatch.setattr(engine_mod, name, searching(getattr(engine_mod, name)))
+    monkeypatch.setattr(engine_mod, "maximal_core", growing)
+    monkeypatch.setattr(CorePool, "add_core", adding)
+    return steps
+
+
+def test_one_step_pools_disjoint_maximal_cores(top_corpus, random_built, monkeypatch):
+    """In a cold solve, the cores one step pools are maximal cores whose
+    below-maximum components are pairwise disjoint, at most four of them,
+    and none is a duplicate: every phase probe is >= the step's hitter,
+    which hits every core pooled before the step, and is raised to the
+    maximum wherever an earlier core of the phase is below it."""
+    steps = record_steps(monkeypatch)
+    pooled_four = False
+    for w in top_corpus + random_built + [clashing_blocks(6)]:
+        maxs = w.max_vector()
+        maximal = set(maximal_cores(w))
+        optimum = optimal_cost(w)
+        for name, alg in ALGS:
+            steps.clear()
+            r = alg(w)
+            assert r.optimum == optimum, (w.name, name)
+            for step in steps:
+                added = [(core, ok) for kind, core, ok in step if kind == "add"]
+                assert all(ok for _, ok in added), (w.name, name)
+                assert len(added) <= 4, (w.name, name)
+                pooled_four |= len(added) == 4
+                blamed: set[int] = set()
+                for core, _ in added:
+                    assert core in maximal, (w.name, name)
+                    below = {i for i in range(w.m) if core[i] < maxs[i]}
+                    assert not below & blamed, (w.name, name)
+                    blamed |= below
+    assert pooled_four
+
+
+def test_a_step_whose_hitter_is_sat_grows_once(fig1, monkeypatch):
+    """fig1's second hitter, (0, 20), is a solution vector: its step makes
+    one maximal_core call, which offers it and returns None."""
+    steps = record_steps(monkeypatch)
+    r = hs_lb(fig1)
+    assert r.status == OPTIMAL and r.iterations == {"lb": 2}
+    assert steps[1] == [("grow", (0, 20), None)]
+
+
+def test_a_step_stops_at_its_first_sat_probe(fig1, monkeypatch):
+    """The phase ends at the first SAT probe: fig1's first step grows (5, 5)
+    from (0, 0), probes the maximum vector once, and pools one core."""
+    steps = record_steps(monkeypatch)
+    hs_lb(fig1)
+    assert steps[0] == [
+        ("grow", (0, 0), (5, 5)),
+        ("add", (5, 5), True),
+        ("grow", (20, 20), None),
+    ]
+    w = clashing_blocks(6)
+    steps.clear()
+    r = hs_lb(w)
+    assert r.status == OPTIMAL and r.optimum == 18
+    grows = [[grown for kind, _, grown in step if kind == "grow"] for step in steps]
+    # the second step grows the two cores left, then probes SAT
+    assert len(grows[1]) == 3 and None not in grows[1][:2] and grows[1][2] is None
+
+
+def test_a_step_never_probes_a_fifth_core(monkeypatch):
+    """Six disjoint cores lie above the minimum vector, but the first step
+    pools four and makes no fifth probe."""
+    steps = record_steps(monkeypatch)
+    hs_lb(clashing_blocks(6))
+    first = steps[0]
+    assert [kind for kind, _, _ in first] == ["grow", "add"] * 4
+    assert all(grown is not None for kind, _, grown in first if kind == "grow")
+
+
 # ---------------------------------------------------------------- small exacts
 
 

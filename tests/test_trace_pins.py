@@ -75,18 +75,18 @@ STRATEGIES = {
 }
 
 PINNED = [
-    ("soft", "hs_lb", 29, "d7809caaf8e408e2"),
-    ("soft", "hs_ub", 29, "3ff6bb65691e8408"),
-    ("soft", "hs_lub_det", 29, "53e16bb2ae153472"),
-    ("hard", "hs_lb", 6, "ef70ea75ecd5631e"),
-    ("hard", "hs_ub", 6, "37a53b733b08e7e0"),
-    ("hard", "hs_lub_det", 6, "a7bc95f5fc8149b2"),
-    ("soft", "hs_lb+seed", 29, "a8866975937d356e"),
-    ("soft", "hs_ub+seed", 29, "d2e9603430bec587"),
-    ("soft", "hs_lub_det+seed", 29, "a249e7c4058820f3"),
-    ("hard", "hs_lb+seed", 6, "62e9456ca732f3dd"),
-    ("hard", "hs_ub+seed", 6, "c1c63b48f064c9db"),
-    ("hard", "hs_lub_det+seed", 6, "7c1811342954b2f1"),
+    ("soft", "hs_lb", 29, "621761a5788d965c"),
+    ("soft", "hs_ub", 29, "b09e4efe5e70e4b8"),
+    ("soft", "hs_lub_det", 29, "b9fb46b28fc2d3bb"),
+    ("hard", "hs_lb", 6, "ceb0e780b7e2b75d"),
+    ("hard", "hs_ub", 6, "9743b9fcffb937f8"),
+    ("hard", "hs_lub_det", 6, "a90c95930e277eb1"),
+    ("soft", "hs_lb+seed", 29, "b5c5111dfed1d049"),
+    ("soft", "hs_ub+seed", 29, "876f3e8c76443840"),
+    ("soft", "hs_lub_det+seed", 29, "cf2d8b45d33b4faa"),
+    ("hard", "hs_lb+seed", 6, "c001adeb1037d76c"),
+    ("hard", "hs_ub+seed", 6, "efcc4cdcaa754392"),
+    ("hard", "hs_lub_det+seed", 6, "cb05e678e1fcdf0a"),
 ]
 
 
@@ -111,18 +111,18 @@ def test_trace_digest_pinned(instance, strategy, optimum, digest):
 
 
 NODES = {
-    ("soft", "hs_lb"): 508,
-    ("soft", "hs_ub"): 268,
-    ("soft", "hs_lub_det"): 403,
-    ("hard", "hs_lb"): 751,
-    ("hard", "hs_ub"): 190,
-    ("hard", "hs_lub_det"): 391,
-    ("soft", "hs_lb+seed"): 258,
-    ("soft", "hs_ub+seed"): 194,
-    ("soft", "hs_lub_det+seed"): 208,
-    ("hard", "hs_lb+seed"): 1103,
-    ("hard", "hs_ub+seed"): 219,
-    ("hard", "hs_lub_det+seed"): 451,
+    ("soft", "hs_lb"): 229,
+    ("soft", "hs_ub"): 110,
+    ("soft", "hs_lub_det"): 174,
+    ("hard", "hs_lb"): 561,
+    ("hard", "hs_ub"): 142,
+    ("hard", "hs_lub_det"): 392,
+    ("soft", "hs_lb+seed"): 182,
+    ("soft", "hs_ub+seed"): 115,
+    ("soft", "hs_lub_det+seed"): 118,
+    ("hard", "hs_lb+seed"): 560,
+    ("hard", "hs_ub+seed"): 158,
+    ("hard", "hs_lub_det+seed"): 215,
 }
 
 
@@ -174,18 +174,18 @@ def test_search_node_count_pinned(instance, strategy):
 
 
 CDCL_CALLS = {
-    ("soft", "hs_lb"): 60,
-    ("soft", "hs_ub"): 50,
-    ("soft", "hs_lub_det"): 58,
-    ("hard", "hs_lb"): 108,
-    ("hard", "hs_ub"): 72,
-    ("hard", "hs_lub_det"): 92,
-    ("soft", "hs_lb+seed"): 46,
-    ("soft", "hs_ub+seed"): 41,
-    ("soft", "hs_lub_det+seed"): 49,
-    ("hard", "hs_lb+seed"): 95,
-    ("hard", "hs_ub+seed"): 68,
-    ("hard", "hs_lub_det+seed"): 76,
+    ("soft", "hs_lb"): 54,
+    ("soft", "hs_ub"): 51,
+    ("soft", "hs_lub_det"): 57,
+    ("hard", "hs_lb"): 76,
+    ("hard", "hs_ub"): 63,
+    ("hard", "hs_lub_det"): 70,
+    ("soft", "hs_lb+seed"): 49,
+    ("soft", "hs_ub+seed"): 47,
+    ("soft", "hs_lub_det+seed"): 54,
+    ("hard", "hs_lb+seed"): 76,
+    ("hard", "hs_ub+seed"): 60,
+    ("hard", "hs_lub_det+seed"): 60,
 }
 
 
@@ -197,18 +197,18 @@ def test_cdcl_call_count_pinned(instance, strategy):
 
 
 SAT_TRANSCRIPTS = {
-    ("soft", "hs_lb"): "891fec1ffc6dbdc2",
-    ("soft", "hs_ub"): "65841b5f079a649e",
-    ("soft", "hs_lub_det"): "678691691baea0ce",
-    ("hard", "hs_lb"): "f8275fbb01095bb0",
-    ("hard", "hs_ub"): "6491ec917b3508f3",
-    ("hard", "hs_lub_det"): "85c85bb92c58074a",
-    ("soft", "hs_lb+seed"): "c9824cf5f0b43236",
-    ("soft", "hs_ub+seed"): "a8af14db6e7b5372",
-    ("soft", "hs_lub_det+seed"): "69369655e1a95f22",
-    ("hard", "hs_lb+seed"): "fee93674f5a758a8",
-    ("hard", "hs_ub+seed"): "d825636e4692b349",
-    ("hard", "hs_lub_det+seed"): "6c37a80463063d8a",
+    ("soft", "hs_lb"): "a2c0405fcff27439",
+    ("soft", "hs_ub"): "79da3cda7af6bad7",
+    ("soft", "hs_lub_det"): "5d212ec5655f2e3f",
+    ("hard", "hs_lb"): "b7e4b8ed79bbf2c4",
+    ("hard", "hs_ub"): "2dadc5ea8f6efad2",
+    ("hard", "hs_lub_det"): "029f715905d7269c",
+    ("soft", "hs_lb+seed"): "2820fea105acd296",
+    ("soft", "hs_ub+seed"): "506ba7588e98efbd",
+    ("soft", "hs_lub_det+seed"): "ede4237cbd883b7c",
+    ("hard", "hs_lb+seed"): "b7e4b8ed79bbf2c4",
+    ("hard", "hs_ub+seed"): "d6e4ca71962d39e0",
+    ("hard", "hs_lub_det+seed"): "48202fa8e5777848",
 }
 
 
