@@ -61,6 +61,18 @@ cheapest raises owed by unhit cores that share no raise option, packed
 once in kept order and, when that does not prune, once more dearest
 first. The search keeps its nodes on an explicit stack, so a pool that
 forces one raise per component searches as deep as it needs to.
+
+A node branches on an unhit core with the fewest raise options and tries
+its raises cheapest increment first. The searches that must return an
+optimal hitter, the cost search's tries and the lex-min checks, break
+cost ties toward the raise that hits the most of the node's unhit cores
+(the greedy set-cover choice, Chvátal 1979), then toward the lower
+component index. This reaches an optimal hitter in fewer nodes and
+changes no answer: the lex-min pass returns the same hitter from any
+optimal witness, and its refuted checks and nogoods do not depend on the
+witness. The bounded search breaks ties by component index alone, since
+the first hitter it finds is its answer, the vector the caller probes
+next.
 """
 
 from __future__ import annotations
@@ -199,6 +211,8 @@ def _branch_and_bound(
     bound: float,
     should_stop: Callable[[], bool] | None,
     prefix: Sequence[int] = (),
+    *,
+    most_hits: bool = False,
 ) -> tuple[tuple[int, ...] | None, float]:
     """The first hitter the search reaches that costs strictly below `bound`.
 
@@ -207,7 +221,10 @@ def _branch_and_bound(
     above a lower bound on the optimum, the first hitter is an optimal
     one, since costs are integers. Branches on an unhit core with the
     fewest raise options (the first such core in kept order), cheapest
-    increment first.
+    increment first, then lowest component index. With `most_hits`, ties
+    on the increment go first to the raise that hits the most cores the
+    node leaves unhit; the searches that need only some optimal hitter
+    pass it (see the module docstring).
 
     Nodes carry a packing bound: cores whose raise options are pairwise
     disjoint cannot share a raise, so their cheapest raises are owed
@@ -340,18 +357,27 @@ def _branch_and_bound(
             if cost + owed < least:
                 least = cost + owed
             return
-        opts = [(lv - val[i], i, t, lv) for i, t, lv, _ in steps[pick] if t <= caps[i]]
+        # (sort key, i, t, level value) per raise option; the key is the
+        # increment, or (increment, -cores hit) with most_hits
+        if most_hits:
+            opts = [
+                ((lv - val[i], -(unhit & below[i][t]).bit_count()), i, t, lv)
+                for i, t, lv, _ in steps[pick]
+                if t <= caps[i]
+            ]
+        else:
+            opts = [(lv - val[i], i, t, lv) for i, t, lv, _ in steps[pick] if t <= caps[i]]
         opts.sort()
         saved = unhit
         saved_caps = []
         capped = 0  # components capped by earlier siblings
-        for d, i, t, lv in opts:
-            old = v[i]
+        for _, i, t, lv in opts:
+            old, was = v[i], val[i]
             v[i], val[i] = t, lv
             hit = saved & below[i][t]
             unhit = saved ^ hit
-            yield cost + d, entries, capped, hit, i
-            v[i], val[i] = old, lv - d
+            yield cost + lv - was, entries, capped, hit, i
+            v[i], val[i] = old, was
             unhit = saved
             saved_caps.append((i, caps[i]))
             caps[i] = t - 1  # later siblings keep i at or below the core
@@ -409,7 +435,7 @@ def _lex_min_at_cost(
             if any(b <= nb and not nu & ~u for nu, nb in nogoods):
                 continue
             prefix = (*witness[:pos], t)
-            found = _branch_and_bound(p, target + 1, should_stop, prefix)[0]
+            found = _branch_and_bound(p, target + 1, should_stop, prefix, most_hits=True)[0]
             if found is not None:
                 witness = found
                 break
@@ -445,7 +471,7 @@ def min_cost_hitting_vector(
     whichever optimal witness it starts from.
     """
     while p.floor < prune_at:
-        found, least = _branch_and_bound(p, p.floor + 1, should_stop)
+        found, least = _branch_and_bound(p, p.floor + 1, should_stop, most_hits=True)
         if found is not None:
             return p.vector_at(_lex_min_at_cost(p, p.floor, should_stop, found))
         p.floor = least

@@ -1,6 +1,7 @@
 """Scale probe: how fast the SAT side runs on a large generated instance.
 
-Runs `hs_lub` under a time limit on `generate(1, n, 3, 2n, cost_range=3,
+Runs `hs_lub` (or, with `--alg lb` or `--alg ub`, `hs_lb` or `hs_ub`)
+under a time limit on `generate(1, n, 3, 2n, cost_range=3,
 hard_density=0.1)` and prints the number of `CdclSolver.solve` calls, the
 calls per CPU second of the solve, the number of hitting-search nodes
 it entered (counted as `tests/test_trace_pins.py` counts them), the
@@ -15,6 +16,7 @@ bounds depend on how far the solve got. Run it from the repository
 root:
 
     python3 tests/scale_probe.py 300 3
+    python3 tests/scale_probe.py 300 3 --alg lb
 
 pytest does not collect this file.
 """
@@ -28,13 +30,16 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import hswcsp.cdcl as cdcl  # noqa: E402
 import hswcsp.hitting as hitting  # noqa: E402
-from hswcsp import generate, hs_lub  # noqa: E402
+from hswcsp import generate, hs_lb, hs_lub, hs_ub  # noqa: E402
+
+ALGS = {"lb": hs_lb, "ub": hs_ub, "lub": hs_lub}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, help="number of variables")
     parser.add_argument("time_limit", type=float, help="seconds")
+    parser.add_argument("--alg", choices=ALGS, default="lub", help="loop to run (default: lub)")
     args = parser.parse_args()
     w = generate(1, args.n, 3, 2 * args.n, cost_range=3, hard_density=0.1)
     calls = nodes = 0
@@ -61,7 +66,7 @@ def main() -> None:
     hitting._make_stop_poll = counting
     try:
         cpu = time.process_time()
-        r = hs_lub(w, time_limit=args.time_limit)
+        r = ALGS[args.alg](w, time_limit=args.time_limit)
         cpu = time.process_time() - cpu
     finally:
         cdcl.CdclSolver.solve = solve

@@ -317,6 +317,43 @@ def test_floor_never_changes_an_answer():
     assert witness_replaced > 30
 
 
+def test_lex_min_pass_is_independent_of_its_witness():
+    """Started from any optimal hitter, the lex-min pass returns the
+    lex-min one: the property that lets the optimal searches try raises in
+    any order without moving a trace. Pools with small level values, so
+    that optimal hitters tie, grow core by core; after each core the pass
+    runs once from every optimal hitter, enumerated, on a fresh problem,
+    which holds no nogoods, and again, in shuffled order, on one problem
+    shared by all the runs of a pool, whose nogoods carry over from run to
+    run and from core to core."""
+    rng = random.Random(2903)
+    runs = ties = nogoods = 0
+    for _ in range(300):
+        m = rng.randint(2, 6)
+        levels = [tuple(sorted(rng.sample(range(0, 4), rng.randint(2, 3)))) for _ in range(m)]
+        shared = HittingProblem(levels)
+        pool = []
+        for _ in range(rng.randint(1, 10)):
+            low = rng.randrange(m)  # keep the core below the top somewhere
+            pool.append(tuple(
+                rng.choice(ls[:-1]) if i == low else rng.choice(ls)
+                for i, ls in enumerate(levels)
+            ))
+            shared.add_cores(pool[-1:])
+            expected = exhaustive_mhv(levels, pool)
+            best = sum(expected)
+            witnesses = _optimal_hitters(levels, pool, best)
+            ties += len(witnesses) > 1
+            for w in witnesses:
+                fresh = HittingProblem(levels, pool)
+                assert fresh.vector_at(_lex_min_at_cost(fresh, best, None, w)) == expected
+            for w in rng.sample(witnesses, len(witnesses)):
+                assert shared.vector_at(_lex_min_at_cost(shared, best, None, w)) == expected
+                runs += 1
+        nogoods += sum(map(len, shared.nogoods))
+    assert runs > 2000 and ties > 400 and nogoods > 500
+
+
 def _reference_first_hitter(levels, cores, ub) -> tuple[int, ...] | None:
     """First hitter costing less than ub in the search's visiting order.
 
@@ -453,9 +490,9 @@ def test_every_nogood_holds_by_enumeration(monkeypatch):
     search = hitting._branch_and_bound
     persistent = True
 
-    def counted(p, bound, should_stop, prefix=()):
+    def counted(p, bound, should_stop, prefix=(), **kw):
         searches[persistent] += bool(prefix)
-        return search(p, bound, should_stop, prefix)
+        return search(p, bound, should_stop, prefix, **kw)
 
     monkeypatch.setattr(hitting, "_branch_and_bound", counted)
     rng = random.Random(2611)
@@ -513,10 +550,12 @@ def test_nogoods_keep_the_hitter_and_save_nodes(monkeypatch):
     assert steps > 500 and saved > 0
 
 
-def _reference_branch_and_bound(levels, cores, bound, prefix=()):
+def _reference_branch_and_bound(levels, cores, bound, prefix=(), most_hits=False):
     """The search of _branch_and_bound written plainly: every node
     recomputes each unhit core's raise options, its cheapest raise and
     both packings from scratch, and the search stops at its first hitter.
+    Children go cheapest increment first, then, with most_hits, the raise
+    that hits the most of the node's unhit cores, then lowest component.
     Returns (found, least, nodes entered)."""
     m = len(levels)
     v = [*prefix, *[0] * (m - len(prefix))]
@@ -557,10 +596,17 @@ def _reference_branch_and_bound(levels, cores, bound, prefix=()):
             return False
         k = cores[min(entries, key=lambda e: e[1])[2]]
         saved = caps[:]
+        unhit = [cores[ci] for _, _, ci, _ in entries]
         raises = sorted(
-            (levels[i][k[i] + 1] - levels[i][v[i]], i) for i in range(m) if k[i] + 1 <= caps[i]
+            (
+                levels[i][k[i] + 1] - levels[i][v[i]],
+                -sum(u[i] <= k[i] for u in unhit) if most_hits else 0,
+                i,
+            )
+            for i in range(m)
+            if k[i] + 1 <= caps[i]
         )
-        for d, i in raises:
+        for d, _, i in raises:
             old, v[i] = v[i], k[i] + 1
             if search(cost + d):
                 return True
@@ -579,9 +625,10 @@ def test_search_matches_a_from_scratch_reference(monkeypatch):
     many nodes: pools grown core by core, with 3 to 5 levels per function
     so that sibling caps leave some options, searched with no prefix and
     with random prefixes, at budgets from the previous optimum + 1 up to
-    unbounded, and refuted at budgets up to the optimum. A stale mask or
-    cheapest raise after a recount, a missed dead core or a missed cheaper
-    raise each fail it."""
+    unbounded, and refuted at budgets up to the optimum, in both child
+    orders. A stale mask or cheapest raise after a recount, a missed dead
+    core or a missed cheaper raise each fail it, and so does a hit count
+    read from the parent's unhit cores or ranked above the increment."""
     entered = 0
 
     def counting(should_stop):
@@ -611,16 +658,17 @@ def test_search_matches_a_from_scratch_reference(monkeypatch):
             best = sum(min_cost_hitting_vector(p))
             some = tuple(rng.randrange(len(ls)) for ls in levels[: rng.randint(1, m)])
             for prefix in ((), some):
-                for bound in (
-                    math.inf, floor + 1, best + 1, best, best + rng.randint(1, 6)
+                for bound, most_hits in itertools.product(
+                    (math.inf, floor + 1, best + 1, best, best + rng.randint(1, 6)),
+                    (False, True),
                 ):
                     entered = 0
-                    got = _branch_and_bound(p, bound, None, prefix)
-                    args = levels, p.cores, bound, prefix
+                    got = _branch_and_bound(p, bound, None, prefix, most_hits=most_hits)
+                    args = levels, p.cores, bound, prefix, most_hits
                     assert (*got, entered) == _reference_branch_and_bound(*args), args
                     searches += 1
                     found += got[0] is not None
-    assert searches > 5000 and found > 2500
+    assert searches > 10000 and found > 5000
 
 
 def _frame_depth() -> int:

@@ -113,16 +113,16 @@ def test_trace_digest_pinned(instance, strategy, optimum, digest):
 NODES = {
     ("soft", "hs_lb"): 229,
     ("soft", "hs_ub"): 110,
-    ("soft", "hs_lub_det"): 174,
-    ("hard", "hs_lb"): 561,
+    ("soft", "hs_lub_det"): 152,
+    ("hard", "hs_lb"): 305,
     ("hard", "hs_ub"): 142,
-    ("hard", "hs_lub_det"): 392,
+    ("hard", "hs_lub_det"): 291,
     ("soft", "hs_lb+seed"): 182,
     ("soft", "hs_ub+seed"): 115,
     ("soft", "hs_lub_det+seed"): 118,
-    ("hard", "hs_lb+seed"): 560,
+    ("hard", "hs_lb+seed"): 304,
     ("hard", "hs_ub+seed"): 158,
-    ("hard", "hs_lub_det+seed"): 215,
+    ("hard", "hs_lub_det+seed"): 191,
 }
 
 
