@@ -218,6 +218,20 @@ class Wcsp:
     def levels_per_function(self) -> tuple[tuple[int, ...], ...]:
         return tuple(f.levels for f in self.cost_functions)
 
+    @cached_property
+    def on_variable(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per variable x, the pair (indices of the cost functions, indices
+        of the hard constraints) whose scopes hold x, each ascending. A
+        change of x's value can move only those costs and verdicts. Built
+        on first use, so building an instance does not pay for it."""
+        funcs: list[list[int]] = [[] for _ in range(self.num_vars)]
+        hards: list[list[int]] = [[] for _ in range(self.num_vars)]
+        for on, owners in ((funcs, self.cost_functions), (hards, self.hard_constraints)):
+            for k, c in enumerate(owners):
+                for x in c.scope:
+                    on[x].append(k)
+        return tuple((tuple(f), tuple(h)) for f, h in zip(funcs, hards))
+
     def min_vector(self) -> tuple[int, ...]:
         return tuple(f.levels[0] for f in self.cost_functions)
 

@@ -31,9 +31,12 @@ match one to one. In a solve it runs only after `recall(v)` missed, so
 its verdict is new: a SAT answer's cost vector fits under v and an UNSAT
 answer's core dominates v, which no remembered verdict does. A caller
 that asks one vector twice records it twice; recall answers from the
-earlier record. Both check their vector in the one pass that maps it to
-level indices (`Wcsp.level_indices`), which also serves the query: the
-selector slices of `assumptions_for`, or the memory's masks.
+earlier record. Both check their vector in the one pass that maps it
+to level indices (`Wcsp.level_indices`), which also serves the query:
+the selector slices of `assumptions_for`, or the memory's masks. Core
+growth also records witnesses it finds without the backend
+(`record_solution`); each is checked in full first, and skipped when a
+remembered solution already fits under its cost vector.
 
 The oracle holds the one stop predicate of the SAT side, `should_stop`,
 given once when it is built, as an IPASIR solver's terminate callback
@@ -252,6 +255,23 @@ class SatOracle:
         else:
             self._remember_core(verdict.core)
         return verdict
+
+    def record_solution(
+        self, witness: tuple[int, ...], cost: tuple[int, ...]
+    ) -> bool:
+        """Remember a witness found without the backend, whose cost vector
+        the caller computed as `cost`, unless `recall` already covers
+        that cost vector; returns whether it was recorded. A recorded
+        witness is evaluated once in full first: RuntimeError unless it is
+        feasible and costs exactly `cost`."""
+        covered = self.recall(cost)
+        if covered is not None and covered.satisfiable:
+            return False
+        ev = self.w.evaluate(witness)
+        if not ev.feasible or ev.per_function != cost:
+            raise RuntimeError(f"witness does not cost {cost}")
+        self._remember_solution(witness, cost)
+        return True
 
     def _remember_solution(
         self, witness: tuple[int, ...], cost: tuple[int, ...]

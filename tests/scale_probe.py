@@ -6,9 +6,11 @@ hard_density=0.1)` and prints the number of `CdclSolver.solve` calls, the
 calls per CPU second of the solve, the number of hitting-search nodes
 it entered (counted as `tests/test_trace_pins.py` counts them), the
 number of cores it pooled, the calls per pooled core (`-` when it pooled
-none), the bounds it ended with and the evaluated total of the witness
-it holds. The node and call counts show how a change splits its work
-between the hitting search and the SAT side.
+none), the number of calls answered SAT (`sat_calls`; core growth's
+model rotation answers some SAT probes without a call), the bounds it
+ended with and the evaluated total of the witness it holds. The node and
+call counts show how a change splits its work between the hitting
+search and the SAT side.
 Most solves at n = 300 end at the limit, so the call rate and the core
 count are the figures to compare between versions: the call rate for the
 SAT side, the core count for how much the whole solve got done. The
@@ -42,14 +44,16 @@ def main() -> None:
     parser.add_argument("--alg", choices=ALGS, default="lub", help="loop to run (default: lub)")
     args = parser.parse_args()
     w = generate(1, args.n, 3, 2 * args.n, cost_range=3, hard_density=0.1)
-    calls = nodes = 0
+    calls = sat_calls = nodes = 0
     solve = cdcl.CdclSolver.solve
     make_poll = hitting._make_stop_poll
 
     def counted_solve(self, *a, **kw):
-        nonlocal calls
+        nonlocal calls, sat_calls
         calls += 1
-        return solve(self, *a, **kw)
+        answer = solve(self, *a, **kw)
+        sat_calls += answer
+        return answer
 
     # every search node polls once, so counting polls counts nodes
     def counting(should_stop):
@@ -75,7 +79,8 @@ def main() -> None:
     per_core = f"{calls / r.cores_used:.1f}" if r.cores_used else "-"
     print(f"n={args.n} status={r.status} cdcl_calls={calls} "
           f"calls_per_cpu_s={calls / cpu:.0f} nodes={nodes} cores={r.cores_used} "
-          f"calls_per_core={per_core} lb={r.lb} ub={r.ub} witness_total={witness}")
+          f"calls_per_core={per_core} sat_calls={sat_calls} lb={r.lb} ub={r.ub} "
+          f"witness_total={witness}")
 
 
 if __name__ == "__main__":

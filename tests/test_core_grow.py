@@ -3,6 +3,7 @@ from functools import partial
 
 import pytest
 
+import hswcsp.core_grow as core_grow
 from hswcsp import (
     CorePool,
     SatOracle,
@@ -12,6 +13,7 @@ from hswcsp import (
 )
 from hswcsp.cdcl import CdclSolver
 from oracles import NaiveSolver, classify_all_vectors, leq, maximal_cores, vector_is_solution
+from test_trace_pins import INSTANCES, PINNED, STRATEGIES, trace_digest
 
 
 def _no_offer(value, witness):
@@ -190,3 +192,32 @@ def test_skipped_probes_do_not_change_growth(corpus):
     assert grown_count >= 100
     assert 2 * fewer >= grown_count
     assert 2 * recalled >= grown_count
+
+
+def test_rotation_saves_backend_sat_calls_and_keeps_the_trace(monkeypatch):
+    """Rotation answers later raises from one SAT answer's witness. On the
+    pinned `hard` instance, deterministic hs_lub gets fewer SAT answers
+    from its backend than with rotation patched out, and both solves
+    give the pinned trace digest."""
+
+    def solve() -> tuple[int, str]:
+        sat = 0
+        cdcl_solve = CdclSolver.solve
+
+        def counted(self, *args, **kwargs):
+            nonlocal sat
+            answer = cdcl_solve(self, *args, **kwargs)
+            sat += answer
+            return answer
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CdclSolver, "solve", counted)
+            r = STRATEGIES["hs_lub_det"](generate(**INSTANCES["hard"]))
+        return sat, trace_digest(r)
+
+    (pinned,) = [d for i, s, _, d in PINNED if (i, s) == ("hard", "hs_lub_det")]
+    rotated_sat, rotated_digest = solve()
+    monkeypatch.setattr(core_grow, "_rotate", lambda *args: None)
+    plain_sat, plain_digest = solve()
+    assert rotated_digest == plain_digest == pinned
+    assert rotated_sat < plain_sat

@@ -239,6 +239,20 @@ def test_level_table_inverts_levels(fig1, corpus):
             assert all(f.levels[f.index[c]] == c for c in f.levels)
 
 
+def test_on_variable_lists_the_scopes_that_hold_each_variable(fig1, corpus, random_built):
+    instances = [fig1] + [w for w, _ in corpus[:40]] + random_built
+    assert any(w.hard_constraints for w in instances)
+    for w in instances:
+        assert len(w.on_variable) == w.num_vars
+        for x, (funcs, hards) in enumerate(w.on_variable):
+            assert funcs == tuple(
+                k for k, f in enumerate(w.cost_functions) if x in f.scope
+            )
+            assert hards == tuple(
+                k for k, hc in enumerate(w.hard_constraints) if x in hc.scope
+            )
+
+
 def test_level_indices(fig1):
     assert fig1.level_indices([5, 20]) == [1, 2]
     with pytest.raises(ValueError, match="not a level"):

@@ -282,6 +282,54 @@ def test_a_solve_records_each_verdict_once(corpus, monkeypatch):
     assert solves == 372
 
 
+def test_every_remembered_solution_is_feasible_at_its_cost(
+    top_corpus, random_built, monkeypatch
+):
+    """Growth records rotated witnesses with cost vectors it computed one
+    variable at a time. After whole solves, on instances with tables at
+    top and hard constraints, every solution the oracle remembers is
+    feasible and costs exactly its recorded vector."""
+    built = []
+    rotated = 0
+
+    class Collecting(SatOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def record_solution(self, witness, cost):
+            nonlocal rotated
+            recorded = super().record_solution(witness, cost)
+            rotated += recorded
+            return recorded
+
+    monkeypatch.setattr(engine, "SatOracle", Collecting)
+    for w in top_corpus + random_built:
+        for strategy in (hs_lb, hs_ub, hs_lub):
+            built.clear()
+            assert strategy(w).status in (OPTIMAL, INFEASIBLE)
+            (oracle,) = built
+            for witness, cost in oracle.solutions:
+                ev = w.evaluate(witness)
+                assert ev.feasible and ev.per_function == cost
+    assert rotated > 0
+
+
+def test_record_solution_skips_covered_costs_and_checks_the_rest(fig1):
+    oracle = SatOracle(fig1)
+    assert oracle.record_solution((0, 0, 0), (0, 20))
+    # (0, 20) fits under both, so recall already answers for them
+    assert not oracle.record_solution((0, 0, 1), (0, 20))
+    assert not oracle.record_solution((1, 0, 0), (5, 20))
+    assert oracle.record_solution((0, 1, 1), (20, 0))
+    assert [cost for _, cost in oracle.solutions] == [(0, 20), (20, 0)]
+    assert oracle.recall((5, 20)).witness == (0, 0, 0)
+    # (0, 1, 0) costs (20, 5), not the claimed vector
+    with pytest.raises(RuntimeError, match="does not cost"):
+        oracle.record_solution((0, 1, 0), (5, 5))
+    assert len(oracle.solutions) == 2
+
+
 def test_recall_masks_match_their_definition():
     w = generate(seed=3, num_vars=5, max_dom=3, num_funcs=6, cost_range=5,
                  hard_density=0.2)

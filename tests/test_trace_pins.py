@@ -20,7 +20,9 @@ may only lower them.
 
 The CDCL call counts pin the work of the SAT side: the number of
 `CdclSolver.solve` calls over the whole solve, seeding's included. They
-move when core growth skips or recalls a different set of probes.
+move when core growth skips or recalls a different set of probes, and
+when its model rotation records a different set of witnesses for recall
+to answer from.
 
 The SAT transcripts pin what the SAT side answers: a digest of every
 `CdclSolver.solve` call of the solve, in order, each as its assumptions,
@@ -174,18 +176,18 @@ def test_search_node_count_pinned(instance, strategy):
 
 
 CDCL_CALLS = {
-    ("soft", "hs_lb"): 54,
-    ("soft", "hs_ub"): 51,
-    ("soft", "hs_lub_det"): 57,
-    ("hard", "hs_lb"): 76,
-    ("hard", "hs_ub"): 63,
-    ("hard", "hs_lub_det"): 70,
-    ("soft", "hs_lb+seed"): 49,
-    ("soft", "hs_ub+seed"): 47,
-    ("soft", "hs_lub_det+seed"): 54,
-    ("hard", "hs_lb+seed"): 76,
-    ("hard", "hs_ub+seed"): 60,
-    ("hard", "hs_lub_det+seed"): 60,
+    ("soft", "hs_lb"): 50,
+    ("soft", "hs_ub"): 45,
+    ("soft", "hs_lub_det"): 52,
+    ("hard", "hs_lb"): 64,
+    ("hard", "hs_ub"): 53,
+    ("hard", "hs_lub_det"): 57,
+    ("soft", "hs_lb+seed"): 45,
+    ("soft", "hs_ub+seed"): 43,
+    ("soft", "hs_lub_det+seed"): 49,
+    ("hard", "hs_lb+seed"): 64,
+    ("hard", "hs_ub+seed"): 52,
+    ("hard", "hs_lub_det+seed"): 52,
 }
 
 
@@ -197,18 +199,18 @@ def test_cdcl_call_count_pinned(instance, strategy):
 
 
 SAT_TRANSCRIPTS = {
-    ("soft", "hs_lb"): "a2c0405fcff27439",
-    ("soft", "hs_ub"): "79da3cda7af6bad7",
-    ("soft", "hs_lub_det"): "5d212ec5655f2e3f",
-    ("hard", "hs_lb"): "b7e4b8ed79bbf2c4",
-    ("hard", "hs_ub"): "2dadc5ea8f6efad2",
-    ("hard", "hs_lub_det"): "029f715905d7269c",
-    ("soft", "hs_lb+seed"): "2820fea105acd296",
-    ("soft", "hs_ub+seed"): "506ba7588e98efbd",
-    ("soft", "hs_lub_det+seed"): "ede4237cbd883b7c",
-    ("hard", "hs_lb+seed"): "b7e4b8ed79bbf2c4",
-    ("hard", "hs_ub+seed"): "d6e4ca71962d39e0",
-    ("hard", "hs_lub_det+seed"): "48202fa8e5777848",
+    ("soft", "hs_lb"): "0ea7e404a12f684c",
+    ("soft", "hs_ub"): "5c4d4aca9fc4af09",
+    ("soft", "hs_lub_det"): "3f4ba4e7e772579e",
+    ("hard", "hs_lb"): "31633de8cbbb7845",
+    ("hard", "hs_ub"): "012c7422e0804862",
+    ("hard", "hs_lub_det"): "6ee61e78b8d679b2",
+    ("soft", "hs_lb+seed"): "137d5d0be0185b61",
+    ("soft", "hs_ub+seed"): "3e530b381d55d27d",
+    ("soft", "hs_lub_det+seed"): "eb2acd7cb164d043",
+    ("hard", "hs_lb+seed"): "31633de8cbbb7845",
+    ("hard", "hs_ub+seed"): "b25a86c284408a20",
+    ("hard", "hs_lub_det+seed"): "be734c07ddc61628",
 }
 
 
