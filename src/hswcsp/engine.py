@@ -17,11 +17,17 @@ both shared by its loops, so its trace is deterministic up to timestamps.
 
 Bounds and cores live in a CorePool guarded by one lock. The pool is the
 one record of a solve: it drops duplicate cores and stamps every core and
-bound change into its trace. Long searches poll a halt predicate at
-node/conflict granularity, so a time limit, or bounds that meet during
-core growth, take effect mid-search. The hitting searches take it on
-every call; the SAT side takes it once, when the solve builds its
-oracle, and its queries, core growth and seeding poll it from there.
+bound change into its trace. It also holds the least evaluated total of
+the checked witnesses the solve's oracle remembers, offered or not. The
+searches bound on the vector-cost ub the loops offer, but once lb reaches
+the held total the pool lowers ub to it, so a solve that runs the lb loop
+can end before its vector-cost ub comes down to lb; its trace is then the
+trace it would have had, cut there, plus one closing UB and DONE. Long
+searches poll a halt predicate at node/conflict granularity, so a time
+limit, or bounds that meet during core growth, take effect mid-search.
+The hitting searches take it on every call; the SAT side takes it once,
+when the solve builds its oracle, and its queries, core growth and
+seeding poll it from there.
 An interrupt (Ctrl-C, KeyboardInterrupt) ends a solve as its time limit
 does: it returns the certified bounds reached so far.
 """
@@ -71,6 +77,16 @@ class CorePool:
     since bound updates may carry vector costs). add_core drops a core
     identical to a pooled one, so cores holds no duplicates.
 
+    The pool also holds the least evaluated total of any checked witness
+    handed to hold (a solve's oracle hands it each new minimum), and that
+    witness, without recording an event. Every raise_lb and offer_ub call
+    ends by closing the gap with it: once held_total <= lb and held_total
+    < ub, ub falls to held_total and best_witness becomes the held
+    witness, with one UB event in the caller's source. A sound lb never
+    exceeds the total of a feasible witness, so held_total < lb only comes
+    from a bogus pool, and its crossed bounds raise in result. Like the
+    bounds, the held witness stays with the pool across solves.
+
     The pool is the record of a solve: every change happens under one lock
     and appends a TraceEvent to events, stamped in ms on a monotonic clock
     anchored when the pool was built (a solve re-anchors it at its start),
@@ -91,6 +107,8 @@ class CorePool:
         self.lb: int = 0
         self.ub: int | float = INF
         self.best_witness: tuple[int, ...] | None = None
+        self.held_total: int | float = INF
+        self.held_witness: tuple[int, ...] | None = None
 
     def _record(self, kind: str, value: int, source: str) -> None:
         # callers hold the lock
@@ -120,22 +138,40 @@ class CorePool:
             self._record("CORE", len(self.cores), source)
             return True
 
-    def raise_lb(self, value: int, source: str) -> bool:
+    def hold(self, total: int, witness: tuple[int, ...]) -> None:
+        """Hold a checked witness of evaluated total `total` if no held one
+        costs as little; records nothing."""
         with self._lock:
-            if value <= self.lb:
-                return False
-            self.lb = value
-            self._record("LB", value, source)
-            return True
+            if total < self.held_total:
+                self.held_total, self.held_witness = total, witness
+
+    def _close_gap(self, source: str) -> None:
+        # callers hold the lock
+        if self.held_total <= self.lb and self.held_total < self.ub:
+            self.ub, self.best_witness = self.held_total, self.held_witness
+            self._record("UB", self.ub, source)
+
+    def raise_lb(self, value: int, source: str) -> bool:
+        """Raise lb to value if it is higher; returns whether it was."""
+        with self._lock:
+            raised = value > self.lb
+            if raised:
+                self.lb = value
+                self._record("LB", value, source)
+            self._close_gap(source)
+            return raised
 
     def offer_ub(self, value: int, witness: tuple[int, ...], source: str) -> bool:
+        """Lower ub to value, behind witness, if it is lower; returns
+        whether it was."""
         with self._lock:
-            if value >= self.ub:
-                return False
-            self.ub = value
-            self.best_witness = witness
-            self._record("UB", value, source)
-            return True
+            lowered = value < self.ub
+            if lowered:
+                self.ub = value
+                self.best_witness = witness
+                self._record("UB", value, source)
+            self._close_gap(source)
+            return lowered
 
     def result(self, iterations: dict[str, int], infeasible: bool) -> SolveResult:
         """End a solve: apply the status rule to the bounds and report,
@@ -298,7 +334,9 @@ def _run_loops(
     inf nothing hits it at all, so no vector is a solution and the loops
     return True; otherwise ub is the optimum, lb rises to it and the loops
     return False. They also return False when the bounds meet or they are
-    halted.
+    halted. Bounds meet when ub comes down to lb, or when lb reaches the
+    total of the witness the pool holds; the halt then stops the step's
+    phase at its first poll.
     """
     problem = HittingProblem(oracle.w.levels_per_function())
     while True:
@@ -362,7 +400,7 @@ def _solve(
     try:
         try:
             if not halt():
-                oracle = SatOracle(w, should_stop=halt)
+                oracle = SatOracle(w, should_stop=halt, hold=pool.hold)
                 if not oracle.solve_csp().satisfiable:
                     infeasible = True
                 else:

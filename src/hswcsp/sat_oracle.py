@@ -38,6 +38,13 @@ growth also records witnesses it finds without the backend
 (`record_solution`); each is checked in full first, and skipped when a
 remembered solution already fits under its cost vector.
 
+Every remembered solution, from the backend or recorded, passes through
+one place, which also keeps the least total of a remembered cost vector
+(`best_total`, one sum per solution). Each new minimum goes, with its
+witness, to the `hold` callback given when the oracle is built; a solve
+passes its CorePool's `hold`, so the pool holds the cheapest checked
+witness even when no loop ever offers it.
+
 The oracle holds the one stop predicate of the SAT side, `should_stop`,
 given once when it is built, as an IPASIR solver's terminate callback
 is set once: the build polls it between clause batches, every query
@@ -60,7 +67,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol, Sequence
 
 from .cdcl import CdclSolver
-from .model import SearchAborted, Wcsp
+from .model import INF, SearchAborted, Wcsp
 
 
 @dataclass(frozen=True)
@@ -208,9 +215,11 @@ class SatOracle:
         w: Wcsp,
         backend: Callable[[], SatBackend] = CdclSolver,
         should_stop: Callable[[], bool] | None = None,
+        hold: Callable[[int, tuple[int, ...]], object] | None = None,
     ):
         self.w = w
         self.should_stop = should_stop
+        self.hold = hold
         self.encoding = Encoding(w)
         self.solver: SatBackend = backend()
         for _ in range(self.encoding.num_vars):
@@ -228,6 +237,7 @@ class SatOracle:
         ]
         self.solutions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self.cores: list[tuple[int, ...]] = []
+        self.best_total: int | float = INF
 
     def _run(self, assumptions: list[int]) -> OracleVerdict:
         if not self.solver.solve(assumptions, should_stop=self.should_stop):
@@ -281,6 +291,11 @@ class SatOracle:
         for row, first in zip(self.fits, self.w.level_indices(cost)):
             for t in range(first, len(row)):
                 row[t] |= bit
+        total = sum(cost)
+        if total < self.best_total:
+            self.best_total = total
+            if self.hold is not None:
+                self.hold(total, witness)
 
     def _remember_core(self, core: tuple[int, ...]) -> None:
         bit = 1 << len(self.cores)

@@ -8,9 +8,12 @@ it entered (counted as `tests/test_trace_pins.py` counts them), the
 number of cores it pooled, the calls per pooled core (`-` when it pooled
 none), the number of calls answered SAT (`sat_calls`; core growth's
 model rotation answers some SAT probes without a call), the bounds it
-ended with and the evaluated total of the witness it holds. The node and
-call counts show how a change splits its work between the hitting
-search and the SAT side.
+ended with, the least evaluated total of the witnesses its pool holds
+(`held_total`; the solve ends once lb reaches it) and the evaluated
+total of the witness behind ub. The node and call counts show how a
+change splits its work between the hitting search and the SAT side;
+held_total against ub shows how far the vector-cost ub lags the
+witnesses the solve already has.
 Most solves at n = 300 end at the limit, so the call rate and the core
 count are the figures to compare between versions: the call rate for the
 SAT side, the core count for how much the whole solve got done. The
@@ -32,7 +35,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import hswcsp.cdcl as cdcl  # noqa: E402
 import hswcsp.hitting as hitting  # noqa: E402
-from hswcsp import generate, hs_lb, hs_lub, hs_ub  # noqa: E402
+from hswcsp import CorePool, generate, hs_lb, hs_lub, hs_ub  # noqa: E402
 
 ALGS = {"lb": hs_lb, "ub": hs_ub, "lub": hs_lub}
 
@@ -68,9 +71,10 @@ def main() -> None:
 
     cdcl.CdclSolver.solve = counted_solve
     hitting._make_stop_poll = counting
+    pool = CorePool()
     try:
         cpu = time.process_time()
-        r = ALGS[args.alg](w, time_limit=args.time_limit)
+        r = ALGS[args.alg](w, pool=pool, time_limit=args.time_limit)
         cpu = time.process_time() - cpu
     finally:
         cdcl.CdclSolver.solve = solve
@@ -80,7 +84,7 @@ def main() -> None:
     print(f"n={args.n} status={r.status} cdcl_calls={calls} "
           f"calls_per_cpu_s={calls / cpu:.0f} nodes={nodes} cores={r.cores_used} "
           f"calls_per_core={per_core} sat_calls={sat_calls} lb={r.lb} ub={r.ub} "
-          f"witness_total={witness}")
+          f"held_total={pool.held_total} witness_total={witness}")
 
 
 if __name__ == "__main__":
