@@ -15,8 +15,9 @@ branch tree are capped at the core's level so the subtrees partition the
 solution space (split by the first component that ends up above the core).
 
 A HittingProblem is meant to persist across the steps of a solve: the
-caller appends each newly pooled core with add_cores, at O(m * levels)
-per core, instead of rebuilding the problem. The problem is append-only:
+caller appends each newly pooled core with add_cores, at O(m * levels +
+k) per core over a pool of k and one sort per call, instead of
+rebuilding the problem. The problem is append-only:
 a core keeps its index for good, so the per-component masks of the cores
 each raise hits only ever gain bits. Nothing is filtered. A duplicate or
 a dominated core (componentwise <= another) would be redundant, not
@@ -58,12 +59,24 @@ hits, recounts only the cores that a sibling cap touches, lowers the
 cheapest raise of the cores with an option on the raised component, and
 keeps the rest as they are. The node prunes on a packing bound, the
 cheapest raises owed by unhit cores that share no raise option, packed
-once in kept order and, when that does not prune, once more dearest
-first. The search keeps its nodes on an explicit stack, so a pool that
-forces one raise per component searches as deep as it needs to.
+once in walk order and, when that does not prune, once more dearest
+first. The walk order takes first the cores whose cheapest raise is
+large for their conflict degree, the number of other cores that share a
+raise option with them: a greedy packing that takes low-degree cores
+first packs more of them (Halldórsson & Radhakrishnan, "Greed is good",
+Algorithmica 1997). The problem keeps the degrees as cores are added and
+sorts the walk once per add_cores; the root reads its entries in that
+order and each child keeps its parent's. A node stops its walk, pruned,
+as soon as the packing owes enough to reach the least bound the search
+has proved at a pruned node, which is at least the budget: the rest of
+the packing could only owe more, so this changes neither that bound nor
+which nodes are visited. The search keeps its nodes on an explicit
+stack, so a pool that forces one raise per component searches as deep
+as it needs to.
 
-A node branches on an unhit core with the fewest raise options and tries
-its raises cheapest increment first. The searches that must return an
+A node branches on an unhit core with the fewest raise options, the
+lowest core index among those, and tries its raises cheapest increment
+first. The searches that must return an
 optimal hitter, the cost search's tries and the lex-min checks, break
 cost ties toward the raise that hits the most of the node's unhit cores
 (the greedy set-cover choice, Chvátal 1979), then toward the lower
@@ -98,9 +111,14 @@ class HittingProblem:
     it (no steps means nothing hits the core);
     `core_untouched`, the core's search entry (-cheapest increment, count,
     core index, component mask) of its raise options from the lowest
-    levels with no cap; and the masks `below[i][t]`, whose bit ci is set
-    when raising component i to level index t hits core ci. Adding a core
-    costs O(m * levels).
+    levels with no cap; `degree`, the number of other cores whose
+    component mask shares a bit with the core's; `walk`, the
+    `core_untouched` entries in walk order, by cheapest increment over
+    (degree + 1), largest first, then by core index; and the masks
+    `below[i][t]`, whose bit ci is set when raising component i to level
+    index t hits core ci. Adding a core costs O(m * levels) plus O(k) to
+    count its conflicts with the k cores before it, and add_cores sorts
+    the walk once after its last core.
 
     `floor` is a lower bound on the minimum hitting cost. It starts at the
     sum of the minimum levels and min_cost_hitting_vector raises it to
@@ -134,19 +152,24 @@ class HittingProblem:
         self.cores: list[tuple[int, ...]] = []
         self.core_steps: list[tuple[tuple[int, int, int, int], ...]] = []
         self.core_untouched: list[tuple[int, int, int, int]] = []
+        self.degree: list[int] = []
+        self.walk: list[tuple[int, int, int, int]] = []
         self.below = [[0] * len(ls) for ls in self.levels]
         self.nogoods: list[list[tuple[int, int]]] = [[] for _ in self.levels]
         self.floor = self.min_cost()
         self.add_cores(pool)
 
     def add_cores(self, pool: Iterable[Sequence[int]]) -> None:
-        """Append cores (as cost vectors) in order, O(m * levels) each.
+        """Append cores (as cost vectors) in order, O(m * levels + k) each
+        over a pool of k, then rebuild the walk order once.
 
         Every core is validated before any is appended.
         """
         new = [self._encode(k) for k in pool]
         cores = self.cores
         levels = self.levels
+        untouched = self.core_untouched
+        degree = self.degree
         for k in new:
             ci = len(cores)
             bit = 1 << ci
@@ -156,14 +179,29 @@ class HittingProblem:
                 for t in range(k[i] + 1, len(masks)):
                     masks[t] |= bit
             steps = tuple((i, k[i] + 1, levels[i][k[i] + 1], 1 << i) for i in up)
+            mask = sum(1 << i for i in up)
+            conflicts = 0
+            for cj, e in enumerate(untouched):
+                if e[3] & mask:
+                    degree[cj] += 1
+                    conflicts += 1
             cores.append(k)
             self.core_steps.append(steps)
-            self.core_untouched.append((
+            untouched.append((
                 -min((lv - levels[i][0] for i, _, lv, _ in steps), default=0),
                 len(steps),
                 ci,
-                sum(1 << i for i in up),
+                mask,
             ))
+            degree.append(conflicts)
+        if new:
+            self.walk = self._walk_order()
+
+    def _walk_order(self) -> list[tuple[int, int, int, int]]:
+        """`core_untouched` sorted by cheapest increment over (degree + 1),
+        largest first, then by core index."""
+        degree = self.degree
+        return sorted(self.core_untouched, key=lambda e: (e[0] / (degree[e[2]] + 1), e[2]))
 
     def _encode(self, core: Sequence[int]) -> tuple[int, ...]:
         core = tuple(core)
@@ -196,16 +234,6 @@ def _make_stop_poll(should_stop: Callable[[], bool] | None) -> Callable[[], None
     return poll
 
 
-def _untouched_entries(
-    p: HittingProblem, cores: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """`p.core_untouched` of each core in the int `cores`, in kept order."""
-    while cores:
-        low = cores & -cores
-        cores ^= low
-        yield p.core_untouched[low.bit_length() - 1]
-
-
 def _branch_and_bound(
     p: HittingProblem,
     bound: float,
@@ -220,7 +248,7 @@ def _branch_and_bound(
     or None when no hitter costs less than `bound`. With a budget one
     above a lower bound on the optimum, the first hitter is an optimal
     one, since costs are integers. Branches on an unhit core with the
-    fewest raise options (the first such core in kept order), cheapest
+    fewest raise options (the lowest core index among those), cheapest
     increment first, then lowest component index. With `most_hits`, ties
     on the increment go first to the raise that hits the most cores the
     node leaves unhit; the searches that need only some optimal hitter
@@ -228,14 +256,18 @@ def _branch_and_bound(
 
     Nodes carry a packing bound: cores whose raise options are pairwise
     disjoint cannot share a raise, so their cheapest raises are owed
-    additively. A node packs its unhit cores greedily in kept order; when
-    that does not prune it, it packs them again, largest cheapest
-    increment first (then fewest options, then kept order), and is pruned
-    on the larger of the two sums. The second packing starts with the
-    dearest single core, so it also owes what that core alone owes. Any
-    packing is a valid bound, so a pruned subtree holds no hitter cheaper
-    than `bound`: the bound changes which nodes are visited, never the
-    order of the visited ones or the hitter returned.
+    additively. A node packs its unhit cores greedily in walk order
+    (`p.walk`); when that does not prune it, it packs them again, largest
+    cheapest increment first (then fewest options, then core index), and
+    is pruned on the larger of the two sums. The second packing starts
+    with the dearest single core, so it also owes what that core alone
+    owes. Any packing is a valid bound, so a pruned subtree holds no
+    hitter cheaper than `bound`: the bound changes which nodes are
+    visited, never the order of the visited ones or the hitter returned.
+    The first packing ends the node's walk as soon as the node's cost
+    plus what it owes reaches `least`, below: `least` is at least
+    `bound`, so the node is pruned, and the whole packing would owe at
+    least as much, so `least` keeps its value.
 
     When found is None, `least` is the least cost plus bound over the
     nodes pruned for cost (inf if none was): every hitter lies under some
@@ -246,11 +278,12 @@ def _branch_and_bound(
     core ci. A child that raises component i to level index t clears
     `p.below[i][t]` from it and the parent restores it when resumed. Each
     node builds its entries, (-cheapest increment, option count, ci,
-    component mask of the options) of each unhit core in kept order, and
+    component mask of the options) of each unhit core in walk order, and
     passes the list to its children, so the list stays alive while they
-    run. The root reads `p.core_untouched` and recounts only the cores
-    with an option on a prefix component. A child walks its parent's
-    entries once: it skips the cores its raise hits, recounts only the
+    run. The root walks `p.walk`, skips the cores the prefix hits and
+    recounts only the cores with an option on a prefix component. A child
+    walks its parent's entries once: it skips the cores its raise hits
+    (a bit test on the mask of the cores it hits), recounts only the
     cores with an option on a component an earlier sibling capped (and is
     pruned on one left with none), lowers the cheapest increment of the
     cores with an option on the raised component to that option's, since a
@@ -286,34 +319,29 @@ def _branch_and_bound(
     most = p.m + 1  # more options than any core has
 
     def node(
-        cost: int, parent: Iterable, capped: int, hit: int = 0, r: int = -1
+        cost: int, parent: list, capped: int, hit: int, r: int = -1
     ) -> Iterator[tuple[int, list, int, int, int]]:
         # parent: the entries to start from, the parent's or, at the root,
-        # the untouched ones; capped: the components capped since they were
-        # counted; hit: the cores among them that the raise of component r
-        # hits (the root raised nothing: r = -1, hit = 0)
+        # p.walk; capped: the components capped since they were counted;
+        # hit: the cores among them that the raise of component r hits (the
+        # root raised nothing, r = -1, and drops the cores the prefix hits)
         nonlocal found, unhit, least
         poll()
         if cost >= bound:
             if cost < least:
                 least = cost
             return
+        stop = least - cost  # a packing that owes this much prunes the node
         pick = -1
         pick_n = most
-        owed = 0  # additive packing bound, kept order
+        owed = 0  # additive packing bound, walk order
         packed = 0
-        entries = []  # (-cheapest, options, ci, mask) of each unhit core, kept order
+        entries = []  # (-cheapest, options, ci, mask) of each unhit core, walk order
         raised = 1 << r if r >= 0 else 0
         raised_levels = levels[r]  # read only below a raise, where r >= 0
-        low = hit & -hit
-        hit ^= low
-        next_hit = low.bit_length() - 1
         for e in parent:
             neg, n, ci, mask = e
-            if ci == next_hit:  # hit: drop it
-                low = hit & -hit
-                hit ^= low
-                next_hit = low.bit_length() - 1
+            if hit >> ci & 1:
                 continue
             if mask & capped:  # a cap may have removed an option: recount
                 n = 0
@@ -337,9 +365,11 @@ def _branch_and_bound(
                     e = (neg, n, ci, mask)
             if not mask & packed:
                 owed -= neg
+                if owed >= stop:
+                    return  # pruned; the rest of the packing only owes more
                 packed |= mask
             entries.append(e)
-            if n < pick_n:
+            if n < pick_n or n == pick_n and ci < pick:
                 pick, pick_n = ci, n
         if pick < 0:
             found = tuple(v)
@@ -385,8 +415,9 @@ def _branch_and_bound(
         for i, c in reversed(saved_caps):
             caps[i] = c
 
-    # the root reads its entries lazily, so a dead core ends it early
-    stack = [node(sum(val), _untouched_entries(p, unhit), (1 << len(prefix)) - 1)]
+    # the root walks every core in walk order and drops those the prefix hits
+    hit = ((1 << len(p.cores)) - 1) ^ unhit
+    stack = [node(sum(val), p.walk, (1 << len(prefix)) - 1, hit)]
     while stack and found is None:
         child = next(stack[-1], None)
         if child is None:

@@ -12,11 +12,17 @@ from hswcsp import (
     HittingProblem,
     SearchAborted,
     cost_bounded_hitting_vector,
+    generate,
+    hs_lb,
+    hs_lub,
+    hs_ub,
     min_cost_hitting_vector,
 )
+import hswcsp.engine as engine
 import hswcsp.hitting as hitting
 from hswcsp.hitting import _branch_and_bound, _lex_min_at_cost
 from oracles import exhaustive_mhv, hits
+from test_trace_pins import INSTANCES
 
 FIG1_LEVELS = [(0, 5, 20), (0, 5, 20)]
 
@@ -266,6 +272,8 @@ def test_add_cores_matches_fresh_build():
             assert grown.cores == whole.cores
             assert grown.core_steps == whole.core_steps
             assert grown.core_untouched == whole.core_untouched
+            assert grown.degree == whole.degree
+            assert grown.walk == whole.walk
             assert grown.below == whole.below
 
 
@@ -358,10 +366,10 @@ def _reference_first_hitter(levels, cores, ub) -> tuple[int, ...] | None:
     """First hitter costing less than ub in the search's visiting order.
 
     A plain recursive DFS over level indices with the search's pick (the
-    unhit core with the fewest raise options under the caps, the first in
-    kept order), its child order (cheapest increment, then component) and
-    its sibling caps, but no packing bound: it only stops descending below
-    a vector that already costs ub or more.
+    unhit core with the fewest raise options under the caps, the lowest
+    core index among those), its child order (cheapest increment, then
+    component) and its sibling caps, but no packing bound: it only stops
+    descending below a vector that already costs ub or more.
     """
     m = len(levels)
     v = [0] * m
@@ -550,14 +558,115 @@ def test_nogoods_keep_the_hitter_and_save_nodes(monkeypatch):
     assert steps > 500 and saved > 0
 
 
+def _raisable(levels, cores) -> list[set[int]]:
+    """The components each index-encoded core can be raised on."""
+    return [{i for i, t in enumerate(k) if t + 1 < len(levels[i])} for k in cores]
+
+
+def _reference_degrees(levels, cores) -> list[int]:
+    """Per core, the number of other cores that share a raisable
+    component with it, counted pair by pair."""
+    options = _raisable(levels, cores)
+    return [
+        sum(bool(o & other) for cj, other in enumerate(options) if cj != ci)
+        for ci, o in enumerate(options)
+    ]
+
+
+def _reference_walk(levels, cores) -> list[int]:
+    """Core indices in the search's walk order, from scratch: by the
+    cheapest raise from the lowest levels over one more than the core's
+    degree, largest first, then by index."""
+    cheapest = [
+        min((levels[i][k[i] + 1] - levels[i][0] for i in opts), default=0)
+        for k, opts in zip(cores, _raisable(levels, cores))
+    ]
+    degree = _reference_degrees(levels, cores)
+    return sorted(range(len(cores)), key=lambda ci: (-cheapest[ci] / (degree[ci] + 1), ci))
+
+
+def test_degrees_and_walk_order_match_a_recount():
+    """After every add_cores, one to three cores at a time, on grown
+    random pools with duplicates and dominated cores: each core's degree
+    equals a pairwise recount, and the walk holds each core's untouched
+    entry once, in the order that sorts the cores from scratch. A degree
+    that misses either side of a new conflict fails it."""
+    rng = random.Random(3232)
+    conflicts = ties = 0
+    for _ in range(300):
+        levels, pool = _random_growing_pool(rng, saturated_ok=True)
+        p = HittingProblem(levels)
+        start = 0
+        while start < len(pool):
+            end = start + rng.randint(1, 3)
+            p.add_cores(pool[start:end])
+            start = end
+            assert p.degree == _reference_degrees(levels, p.cores)
+            order = _reference_walk(levels, p.cores)
+            assert p.walk == [p.core_untouched[ci] for ci in order]
+            conflicts += sum(p.degree)
+            ties += sum(
+                a[0] * (p.degree[b[2]] + 1) == b[0] * (p.degree[a[2]] + 1)
+                for a, b in zip(p.walk, p.walk[1:])
+            )
+    assert conflicts > 10000 and ties > 1500
+
+
+def test_walk_order_changes_no_trace(top_corpus, random_built, monkeypatch):
+    """The walk order changes only which nodes the packing prunes. Every
+    strategy, seeded and unseeded, on both corpora and the two pinned
+    instances, gives the same trace, result and sequence of hitters with
+    the walk patched back to index order, and enters more search nodes in
+    total that way."""
+    instances = top_corpus + random_built + [generate(**kw) for kw in INSTANCES.values()]
+    hitters = []
+    nodes = 0
+    for name in ("min_cost_hitting_vector", "cost_bounded_hitting_vector"):
+        def recorded(*args, search=getattr(engine, name), **kw):
+            hitters.append(search(*args, **kw))
+            return hitters[-1]
+
+        monkeypatch.setattr(engine, name, recorded)
+
+    def counting(should_stop):
+        def poll():
+            nonlocal nodes
+            nodes += 1
+
+        return poll
+
+    monkeypatch.setattr(hitting, "_make_stop_poll", counting)
+
+    def solve_all():
+        out = []
+        for w in instances:
+            for alg in (hs_lb, hs_ub, hs_lub):
+                for seeded in (False, True):
+                    hitters.clear()
+                    r = alg(w, seed_disjoint=seeded)
+                    trace = [(e.kind, e.value, e.source) for e in r.trace]
+                    out.append((r.status, r.lb, r.ub, r.witness, r.iterations, trace, [*hitters]))
+        return out
+
+    walked = solve_all()
+    walked_nodes, nodes = nodes, 0
+    monkeypatch.setattr(HittingProblem, "_walk_order", lambda self: list(self.core_untouched))
+    assert solve_all() == walked
+    assert walked_nodes < nodes
+
+
 def _reference_branch_and_bound(levels, cores, bound, prefix=(), most_hits=False):
     """The search of _branch_and_bound written plainly: every node
     recomputes each unhit core's raise options, its cheapest raise and
     both packings from scratch, and the search stops at its first hitter.
+    The first packing takes the unhit cores in the walk order of
+    _reference_walk, the second dearest first. The node branches on the
+    unhit core with the fewest options, the lowest index on ties.
     Children go cheapest increment first, then, with most_hits, the raise
     that hits the most of the node's unhit cores, then lowest component.
     Returns (found, least, nodes entered)."""
     m = len(levels)
+    walk = _reference_walk(levels, cores)
     v = [*prefix, *[0] * (m - len(prefix))]
     caps = [*prefix, *(len(ls) - 1 for ls in levels[len(prefix):])]
     found, least, nodes = None, math.inf, 0
@@ -577,7 +686,8 @@ def _reference_branch_and_bound(levels, cores, bound, prefix=(), most_hits=False
             least = min(least, cost)
             return False
         entries = []
-        for ci, k in enumerate(cores):
+        for ci in walk:
+            k = cores[ci]
             if any(v[i] > k[i] for i in range(m)):
                 continue  # hit
             options = [i for i in range(m) if k[i] + 1 <= caps[i]]
@@ -594,7 +704,7 @@ def _reference_branch_and_bound(levels, cores, bound, prefix=(), most_hits=False
         if cost + owed >= bound:
             least = min(least, cost + owed)
             return False
-        k = cores[min(entries, key=lambda e: e[1])[2]]
+        k = cores[min(entries, key=lambda e: (e[1], e[2]))[2]]
         saved = caps[:]
         unhit = [cores[ci] for _, _, ci, _ in entries]
         raises = sorted(

@@ -119,15 +119,15 @@ def test_trace_digest_pinned(instance, strategy, optimum, digest):
 NODES = {
     ("soft", "hs_lb"): 229,
     ("soft", "hs_ub"): 110,
-    ("soft", "hs_lub_det"): 126,
-    ("hard", "hs_lb"): 196,
-    ("hard", "hs_ub"): 142,
-    ("hard", "hs_lub_det"): 265,
+    ("soft", "hs_lub_det"): 125,
+    ("hard", "hs_lb"): 193,
+    ("hard", "hs_ub"): 138,
+    ("hard", "hs_lub_det"): 259,
     ("soft", "hs_lb+seed"): 154,
     ("soft", "hs_ub+seed"): 115,
     ("soft", "hs_lub_det+seed"): 118,
-    ("hard", "hs_lb+seed"): 195,
-    ("hard", "hs_ub+seed"): 158,
+    ("hard", "hs_lb+seed"): 192,
+    ("hard", "hs_ub+seed"): 154,
     ("hard", "hs_lub_det+seed"): 191,
 }
 
